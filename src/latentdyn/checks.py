@@ -19,16 +19,13 @@ from .dynamics import (
     LatentAction,
     ModelConfig,
     adaln,
-    condition_vector,
     fdm_block,
     fdm_denoise,
     idm_forward,
-    infer_latent_action,
     init_models,
     make_noise_schedule,
-    noise_feature,
 )
-from .encoder import FeatureTokens, encode_groups, group_features, pool
+from .encoder import FeatureTokens, encode_groups
 from .numerics import (
     ParamStore,
     RandomStream,
@@ -192,8 +189,7 @@ def _composite_results(seed: int) -> list[CheckResult]:
         out = fdm_denoise(p, FeatureTokens(Tensor(z_noisy), "teacher"),
                           FeatureTokens(Tensor(z_cond), "student"),
                           LatentAction(Tensor(alpha_vec), "forward"),
-                          taus, sched, n_blocks=cfg.n_blocks,
-                          sinusoid_dim=cfg.sinusoid_dim)
+                          taus, sched, n_blocks=cfg.n_blocks)
         return tsum(mul(out.tokens, r_fdm))
 
     results.append(CheckResult("fdm_denoise", grad_check(fdm_closure, fdm64),
@@ -203,10 +199,7 @@ def _composite_results(seed: int) -> list[CheckResult]:
     enc64 = models.online.astype(np.float64)
     scene = SceneConfig(n_points=32, length=3, n_distractors=1)
     traj = generate_trajectory(scene, seed)
-    feats = np.stack([
-        group_features(PointCloud(f.points.astype(np.float64)), cfg.tokens, cfg.group_size)
-        for f in traj.frames[:2]
-    ])
+    feats = models.tokenize([PointCloud(f.points.astype(np.float64)) for f in traj.frames[:2]])
     r_enc = stream.normal((2, cfg.tokens, cfg.feat_dim))
     results.append(CheckResult(
         "encode",
@@ -237,7 +230,8 @@ def _full_loss_results(seed: int) -> list[CheckResult]:
     blocked paths exactly zero on both sides) and after a short optimization
     warmup, where every path carries gradient. The check loss averages two
     (tau, noise) draws so no single draw can push an individual parameter's
-    gradient down to the finite-difference noise floor.
+    gradient down to the finite-difference noise floor. The fixed clouds are
+    tokenized once, so no closure call repeats the grouping.
     """
     from .numerics import OptState, adamw_step
 
@@ -252,16 +246,14 @@ def _full_loss_results(seed: int) -> list[CheckResult]:
                 t.data = t.data.astype(np.float64)
         models.target = models.target.astype(np.float64)
 
-        combined = ParamStore()
-        for prefix, store in (("enc", models.online), ("idm", models.idm),
-                              ("fdm", models.fdm)):
-            for name, tensor in store.items():
-                combined.add(f"{prefix}.{name}", tensor)
+        combined = models.trainables()
 
         scene = SceneConfig(n_points=24, length=4, n_distractors=0)
         trajs = [generate_trajectory(scene, seed + 1 + i) for i in range(2)]
-        clouds_t = [PointCloud(t.frames[0].points.astype(np.float64)) for t in trajs]
-        clouds_tk = [PointCloud(t.frames[3].points.astype(np.float64)) for t in trajs]
+        feats_t = models.tokenize([PointCloud(t.frames[0].points.astype(np.float64))
+                                   for t in trajs])
+        feats_tk = models.tokenize([PointCloud(t.frames[3].points.astype(np.float64))
+                                    for t in trajs])
         w = VicregWeights()
 
         warm_noise = RandomStream.derive(seed, "warm0")
@@ -271,7 +263,7 @@ def _full_loss_results(seed: int) -> list[CheckResult]:
             ef = warm_noise.normal((2, cfg.tokens, cfg.feat_dim))
             eh = warm_noise.normal((2, cfg.tokens, cfg.feat_dim))
             combined.zero_grad()
-            total, _ = bidirectional_loss(models, clouds_t, clouds_tk, taus, ef, eh, w)
+            total, _ = bidirectional_loss(models, feats_t, feats_tk, taus, ef, eh, w)
             total.backward()
             adamw_step(combined, opt)
 
@@ -286,7 +278,7 @@ def _full_loss_results(seed: int) -> list[CheckResult]:
         def closure(_params):
             acc = None
             for taus, ef, eh in draws:
-                total, _ = bidirectional_loss(models, clouds_t, clouds_tk, taus, ef, eh, w)
+                total, _ = bidirectional_loss(models, feats_t, feats_tk, taus, ef, eh, w)
                 acc = total if acc is None else acc + total
             return acc * 0.5
 

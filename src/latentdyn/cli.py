@@ -2,8 +2,9 @@
 
 Configuration comes from a JSON file with flat dotted keys
 ("scene.n_points", "train.lr", ...), overridable by flags; unknown keys
-are an error. Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 I/O error.
+are an error. The train.* keys are the fields of TrainConfig, which
+include every model hyperparameter (train.feat_dim, train.n_blocks, ...).
+Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,26 +118,12 @@ def _echo_config(cfg: CliConfig) -> None:
     print(json.dumps(cfg.flat(), sort_keys=True))
 
 
-def _worker_count() -> int:
-    env = os.environ.get("LATENT_DYN_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as err:
-            raise ConfigError(f"LATENT_DYN_THREADS must be an integer, got {env!r}") from err
-        if n < 1:
-            raise ConfigError("LATENT_DYN_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def _cmd_gen_data(args) -> int:
     cfg = parse_config(args.config)
     _echo_config(cfg)
     scene = cfg.scene
-    seeds = [trajectory_seed(args.seed, i) for i in range(scene.n_trajectories)]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        trajs = list(pool.map(lambda s: generate_trajectory(scene, s), seeds))
+    trajs = [generate_trajectory(scene, trajectory_seed(args.seed, i))
+             for i in range(scene.n_trajectories)]
     if args.skip_frames or args.stride != 1:
         trajs = [subsample_trajectory(t, args.skip_frames, args.stride) for t in trajs]
     write_dataset(trajs, args.out, config=scene, seed=args.seed)

@@ -15,7 +15,6 @@ from .synthetic import (
     SceneConfig,
     Trajectory,
     generate_trajectory,
-    sample_pairs,
     trajectories_equal,
     trajectory_seed,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "generate_trajectory",
     "preprocess_depth_sequence",
     "read_dataset",
-    "sample_pairs",
     "trajectories_equal",
     "trajectory_seed",
     "write_dataset",

@@ -249,14 +249,3 @@ def subsample_trajectory(traj: Trajectory, skip_frames: int = 0, stride: int = 1
     actions = np.stack([traj.actions[a:b].sum(axis=0) for a, b in zip(kept[:-1], kept[1:])])
     return Trajectory(frames=frames, actions=actions.astype(traj.actions.dtype),
                       seed=traj.seed, descriptor=traj.descriptor)
-
-
-def sample_pairs(traj: Trajectory, k: int, rng: RandomStream,
-                 count: int = 1) -> list[tuple[int, PointCloud, PointCloud]]:
-    """Uniform (t, t+k) frame pairs; returns (t, frame_t, frame_{t+k})."""
-    if k < 1:
-        raise DataError("frame interval k must be >= 1")
-    if k >= traj.length:
-        raise DataError(f"interval k={k} needs trajectory length > k, got {traj.length}")
-    ts = rng.integers(0, traj.length - k, count)
-    return [(int(t), traj.frames[t], traj.frames[t + k]) for t in ts]

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data.geometry import PointCloud
-from .encoder import (
-    FeatureTokens,
-    encode_batch,
-    encode_groups,
-    group_features,
-    init_encoder_params,
-    pool,
-)
+from .encoder import FeatureTokens, encode_groups, group_features, init_encoder_params, pool
 from .numerics import (
     NumericsError,
     ParamStore,
@@ -44,6 +37,7 @@ from .numerics import (
 
 DIRECTIONS = ("forward", "backward")
 IDM_INPUT_MODES = ("diff", "concat")
+SINUSOID_DIM = 32  # width of the timestep embedding fed to the cond.t MLP
 
 
 @dataclass
@@ -62,7 +56,6 @@ class NoiseSchedule:
 
     steps: int
     abar: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.abar = np.asarray(self.abar, dtype=np.float64)
@@ -75,24 +68,17 @@ class NoiseSchedule:
         if np.any(np.diff(self.abar) >= 0.0):
             raise NumericsError("abar must be strictly decreasing after index 0")
 
-    def snr(self, tau) -> np.ndarray:
-        a = self.abar[tau]
-        with np.errstate(divide="ignore"):
-            return a / (1.0 - a)
 
-
-def make_noise_schedule(steps: int, kind: str = "cosine", offset: float = 0.008,
+def make_noise_schedule(steps: int, offset: float = 0.008,
                         floor: float = 1e-4) -> NoiseSchedule:
     """Cosine abar schedule, clamped below at `floor`, abar[0] pinned to 1."""
     if steps < 1:
         raise NumericsError(f"schedule needs at least 1 step, got {steps}")
-    if kind != "cosine":
-        raise NumericsError(f"unknown schedule kind {kind!r}")
     tau = np.arange(steps + 1, dtype=np.float64)
     f = np.cos((tau / steps + offset) / (1.0 + offset) * (math.pi / 2.0)) ** 2
     abar = np.clip(f / f[0], floor, 1.0)
     abar[0] = 1.0
-    return NoiseSchedule(steps=steps, abar=abar, kind=kind)
+    return NoiseSchedule(steps=steps, abar=abar)
 
 
 def noise_feature(z_target: FeatureTokens, tau, eps: np.ndarray,
@@ -169,15 +155,7 @@ def infer_latent_action(params: ParamStore, z_a: FeatureTokens, z_b: FeatureToke
 
 # -- conditioning and DiT blocks -------------------------------------------
 
-@dataclass
-class ConditioningVector:
-    c: Tensor  # (..., 3 * width)
-    z_part: Tensor
-    action_part: Tensor
-    time_part: Tensor
-
-
-def sinusoidal_embedding(tau, dim: int = 32) -> np.ndarray:
+def sinusoidal_embedding(tau, dim: int = SINUSOID_DIM) -> np.ndarray:
     """Interleaved [sin(t*f_i), cos(t*f_i)] with f_i = 10000^(-2i/dim)."""
     tau = np.asarray(tau, dtype=np.float64)
     half = dim // 2
@@ -194,16 +172,15 @@ def _cond_mlp(params: ParamStore, prefix: str, x: Tensor) -> Tensor:
     return linear(h, params[f"{prefix}.fc2.w"], params[f"{prefix}.fc2.b"])
 
 
-def condition_vector(params: ParamStore, z_pool: Tensor, action: Tensor, tau,
-                     sinusoid_dim: int = 32) -> ConditioningVector:
-    temb = sinusoidal_embedding(tau, sinusoid_dim)
+def condition_vector(params: ParamStore, z_pool: Tensor, action: Tensor, tau) -> Tensor:
+    """(..., 3 * cond_width) conditioning [z part | action part | time part]."""
+    temb = sinusoidal_embedding(tau)
     if np.ndim(tau) == 0 and z_pool.ndim > 1:
-        temb = np.broadcast_to(temb, z_pool.shape[:-1] + (sinusoid_dim,))
+        temb = np.broadcast_to(temb, z_pool.shape[:-1] + (SINUSOID_DIM,))
     z_part = _cond_mlp(params, "cond.z", z_pool)
     a_part = _cond_mlp(params, "cond.a", action)
     t_part = _cond_mlp(params, "cond.t", Tensor(temb.astype(str(z_pool.dtype))))
-    return ConditioningVector(concat([z_part, a_part, t_part], axis=-1),
-                              z_part, a_part, t_part)
+    return concat([z_part, a_part, t_part], axis=-1)
 
 
 def adaln(x: Tensor, c: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
@@ -218,8 +195,7 @@ def adaln(x: Tensor, c: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
 
 
 def init_fdm_params(feat_dim: int, action_dim: int, cond_width: int, ffn_mult: int,
-                    n_blocks: int, sinusoid_dim: int, stream: RandomStream,
-                    dtype=np.float32) -> ParamStore:
+                    n_blocks: int, stream: RandomStream, dtype=np.float32) -> ParamStore:
     params = ParamStore()
     cond_dim = 3 * cond_width
 
@@ -232,7 +208,7 @@ def init_fdm_params(feat_dim: int, action_dim: int, cond_width: int, ffn_mult: i
         params.add(f"{name}.b", Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
 
     for prefix, fan_in in (("cond.z", feat_dim), ("cond.a", action_dim),
-                           ("cond.t", sinusoid_dim)):
+                           ("cond.t", SINUSOID_DIM)):
         dense(f"{prefix}.fc1", fan_in, cond_width)
         dense(f"{prefix}.fc2", cond_width, cond_width)
     for i in range(n_blocks):
@@ -273,17 +249,16 @@ def fdm_block(params: ParamStore, index: int, x: Tensor, c: Tensor) -> Tensor:
 
 def fdm_denoise(params: ParamStore, z_noisy: FeatureTokens, z_cond: FeatureTokens,
                 action: LatentAction, tau, sched: NoiseSchedule,
-                n_blocks: int = 4, sinusoid_dim: int = 32) -> FeatureTokens:
+                n_blocks: int = 4) -> FeatureTokens:
     """Single-pass denoise of the noisy tokens under (z_cond, action, tau)."""
     taus = np.asarray(tau)
     if np.any(taus < 0) or np.any(taus > sched.steps):
         raise NumericsError(f"tau outside schedule range [0, {sched.steps}]")
-    cond = condition_vector(params, pool(z_cond.tokens), action.vector, tau,
-                            sinusoid_dim=sinusoid_dim)
+    cond = condition_vector(params, pool(z_cond.tokens), action.vector, tau)
     x = z_noisy.tokens
     for i in range(n_blocks):
-        x = fdm_block(params, i, x, cond.c)
-    y = adaln(x, cond.c, params["final.adaln.w"], params["final.adaln.b"])
+        x = fdm_block(params, i, x, cond)
+    y = adaln(x, cond, params["final.adaln.w"], params["final.adaln.b"])
     out = linear(y, params["final.proj.w"], params["final.proj.b"])
     return FeatureTokens(out, source="predicted")
 
@@ -301,15 +276,11 @@ class ModelConfig:
     cond_width: int = 64
     ffn_mult: int = 4
     n_blocks: int = 4
-    sinusoid_dim: int = 32
     diffusion_steps: int = 100
-    schedule: str = "cosine"
 
     def validate(self) -> None:
         if self.idm_input not in IDM_INPUT_MODES:
             raise NumericsError(f"idm_input must be one of {IDM_INPUT_MODES}")
-        if self.sinusoid_dim % 2 != 0:
-            raise NumericsError("sinusoid_dim must be even")
         for name in ("feat_dim", "tokens", "group_size", "action_dim", "idm_hidden",
                      "cond_width", "ffn_mult", "n_blocks", "diffusion_steps"):
             if getattr(self, name) < 1:
@@ -322,6 +293,13 @@ class ModelConfig:
 
 @dataclass
 class Models:
+    """The online and target (EMA teacher) encoders, the IDM and the FDM.
+
+    `tokenize` is the one way frames become encoder input: it depends only
+    on the clouds, so callers tokenize each frame once and pass the grouped
+    (B, M, g, 6) array to `encode_online`, `encode_target` or both.
+    """
+
     config: ModelConfig
     online: ParamStore
     target: ParamStore
@@ -330,21 +308,27 @@ class Models:
     sched: NoiseSchedule = field(init=False)
 
     def __post_init__(self):
-        self.sched = make_noise_schedule(self.config.diffusion_steps, self.config.schedule)
+        self.sched = make_noise_schedule(self.config.diffusion_steps)
 
-    def encode_online(self, clouds) -> FeatureTokens:
-        """clouds: list of PointClouds, or an already-grouped (B, M, g, 6)
-        feature array (tokenization is input-only and may be cached)."""
-        if isinstance(clouds, np.ndarray):
-            return FeatureTokens(encode_groups(self.online, clouds), source="student")
-        return encode_batch(self.online, clouds, self.config.tokens,
-                            self.config.group_size, source="student")
+    def tokenize(self, clouds: list[PointCloud]) -> np.ndarray:
+        """Clouds -> (B, M, g, 6) grouped features at the config's token shape."""
+        return np.stack([group_features(c, self.config.tokens, self.config.group_size)
+                         for c in clouds])
 
-    def encode_target(self, clouds) -> FeatureTokens:
-        if isinstance(clouds, np.ndarray):
-            return FeatureTokens(encode_groups(self.target, clouds), source="teacher")
-        return encode_batch(self.target, clouds, self.config.tokens,
-                            self.config.group_size, source="teacher")
+    def encode_online(self, feats: np.ndarray) -> FeatureTokens:
+        return FeatureTokens(encode_groups(self.online, feats), source="student")
+
+    def encode_target(self, feats: np.ndarray) -> FeatureTokens:
+        return FeatureTokens(encode_groups(self.target, feats), source="teacher")
+
+    def trainables(self) -> ParamStore:
+        """One store of shared references so backward/optimizer see every
+        trainable parameter in a fixed global order (never the target)."""
+        combined = ParamStore()
+        for prefix, store in (("enc", self.online), ("idm", self.idm), ("fdm", self.fdm)):
+            for name, tensor in store.items():
+                combined.add(f"{prefix}.{name}", tensor)
+        return combined
 
 
 def init_models(cfg: ModelConfig, seed: int, dtype=np.float32) -> Models:
@@ -354,7 +338,7 @@ def init_models(cfg: ModelConfig, seed: int, dtype=np.float32) -> Models:
     target = online.copy(requires_grad=False)  # exact copy at step 0
     idm = init_idm_params(cfg.idm_input_dim, cfg.idm_hidden, cfg.action_dim, stream, dtype)
     fdm = init_fdm_params(cfg.feat_dim, cfg.action_dim, cfg.cond_width, cfg.ffn_mult,
-                          cfg.n_blocks, cfg.sinusoid_dim, stream, dtype)
+                          cfg.n_blocks, stream, dtype)
     return Models(config=cfg, online=online, target=target, idm=idm, fdm=fdm)
 
 
@@ -372,16 +356,17 @@ def branch_predict(models: Models, z_t: FeatureTokens, z_tk: FeatureTokens,
     z_cond = z_t if direction == "forward" else z_tk
     z_noisy = noise_feature(z_teacher, tau, eps, models.sched)
     pred = fdm_denoise(models.fdm, z_noisy, z_cond, action, tau, models.sched,
-                       n_blocks=cfg.n_blocks, sinusoid_dim=cfg.sinusoid_dim)
+                       n_blocks=cfg.n_blocks)
     return pred, z_teacher
 
 
 def predict_future(models: Models, clouds_t: list[PointCloud], clouds_tk: list[PointCloud],
                    tau, eps: np.ndarray) -> tuple[FeatureTokens, FeatureTokens]:
     """(pred, teacher) for the t -> t+k transition."""
-    z_t = models.encode_online(clouds_t)
-    z_tk = models.encode_online(clouds_tk)
-    z_teacher = models.encode_target(clouds_tk)
+    feats_tk = models.tokenize(clouds_tk)
+    z_t = models.encode_online(models.tokenize(clouds_t))
+    z_tk = models.encode_online(feats_tk)
+    z_teacher = models.encode_target(feats_tk)
     return branch_predict(models, z_t, z_tk, z_teacher, tau, eps, "forward")
 
 
@@ -389,7 +374,8 @@ def predict_history(models: Models, clouds_t: list[PointCloud], clouds_tk: list[
                     tau, eps: np.ndarray) -> tuple[FeatureTokens, FeatureTokens]:
     """(pred, teacher) for the t+k -> t transition; bitwise the same
     computation as predict_future on the swapped pair."""
-    z_t = models.encode_online(clouds_t)
-    z_tk = models.encode_online(clouds_tk)
-    z_teacher = models.encode_target(clouds_t)
+    feats_t = models.tokenize(clouds_t)
+    z_t = models.encode_online(feats_t)
+    z_tk = models.encode_online(models.tokenize(clouds_tk))
+    z_teacher = models.encode_target(feats_t)
     return branch_predict(models, z_t, z_tk, z_teacher, tau, eps, "backward")

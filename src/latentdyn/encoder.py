@@ -100,18 +100,6 @@ def encode_groups(params: ParamStore, feats: np.ndarray) -> Tensor:
     return raw + matmul(attention(q, k, v), params["mix.wo"])
 
 
-def encode(params: ParamStore, cloud: PointCloud, m_tokens: int, group_size: int,
-           source: str = "student") -> FeatureTokens:
-    return FeatureTokens(encode_groups(params, group_features(cloud, m_tokens, group_size)),
-                         source=source)
-
-
-def encode_batch(params: ParamStore, clouds: list[PointCloud], m_tokens: int,
-                 group_size: int, source: str = "student") -> FeatureTokens:
-    feats = np.stack([group_features(c, m_tokens, group_size) for c in clouds])
-    return FeatureTokens(encode_groups(params, feats), source=source)
-
-
 def pool(tokens: Tensor) -> Tensor:
     """Mean over the token axis: (..., M, D) -> (..., D)."""
     return tmean(tokens, axis=-2)

@@ -110,18 +110,18 @@ def pca_embed(features: np.ndarray, n_components: int = 2) -> tuple[np.ndarray, 
     return centered @ comps, evr
 
 
-def _pooled_features(models: Models, trajs: list[Trajectory], store: str,
-                     chunk: int = 64) -> list[np.ndarray]:
-    """Per-trajectory (L, D) pooled features from the online or target encoder."""
-    out = []
+def _pooled_features(models: Models, trajs: list[Trajectory], stores: tuple[str, ...],
+                     chunk: int = 64) -> dict[str, list[np.ndarray]]:
+    """Per-trajectory (L, D) pooled features from each named encoder
+    ("online", "target"); each frame is tokenized once for all of them."""
+    encoders = {"online": models.encode_online, "target": models.encode_target}
+    out: dict[str, list[np.ndarray]] = {store: [] for store in stores}
     for traj in trajs:
-        rows = []
-        for start in range(0, traj.length, chunk):
-            clouds = traj.frames[start:start + chunk]
-            feats = (models.encode_online(clouds) if store == "online"
-                     else models.encode_target(clouds))
-            rows.append(pool(feats.tokens).data)
-        out.append(np.concatenate(rows, axis=0))
+        feats = models.tokenize(traj.frames)
+        for store in stores:
+            rows = [pool(encoders[store](feats[start:start + chunk]).tokens).data
+                    for start in range(0, traj.length, chunk)]
+            out[store].append(np.concatenate(rows, axis=0))
     return out
 
 
@@ -157,15 +157,14 @@ def run_probe(state: TrainState, dataset: list[Trajectory], shuffle_seed: int = 
         raise DataError("probe dataset is empty")
     models = state.models
     k = state.config.k
-    pooled_online = _pooled_features(models, dataset, "online")
-    alphas, actions = _probe_pairs(models, dataset, k, pooled_online)
+    pooled = _pooled_features(models, dataset, ("online", "target"))
+    alphas, actions = _probe_pairs(models, dataset, k, pooled["online"])
 
     probe = linear_probe(alphas, actions, split_seed=state.config.seed)
     shuffled = actions[RandomStream.derive(shuffle_seed, "probe-shuffle").permutation(len(actions))]
     probe_shuffled = linear_probe(alphas, shuffled, split_seed=state.config.seed)
 
-    teacher = np.concatenate(_pooled_features(models, dataset, "target"), axis=0)
-    collapse = collapse_metrics(teacher)
+    collapse = collapse_metrics(np.concatenate(pooled["target"], axis=0))
 
     return {
         "r2": probe["r2"],
@@ -188,7 +187,7 @@ def write_probe_report(report: dict, path) -> None:
 def export_embedding(state: TrainState, dataset: list[Trajectory], path) -> np.ndarray:
     """PCA of pooled online features over all frames, written as CSV
     rows "index,x,y,traj_id,frame"."""
-    pooled = _pooled_features(state.models, dataset, "online")
+    pooled = _pooled_features(state.models, dataset, ("online",))["online"]
     features = np.concatenate(pooled, axis=0)
     coords, _ = pca_embed(features, 2)
     with open(Path(path), "w", encoding="utf-8") as f:

@@ -35,9 +35,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
@@ -55,18 +52,5 @@ class ParamStore:
             out.add(name, Tensor(t.data.astype(dtype), requires_grad=t.requires_grad))
         return out
 
-    def num_values(self) -> int:
-        return sum(t.size for t in self._params.values())
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([t.data.reshape(-1) for t in self._params.values()])
-
-    def load_flat(self, vec: np.ndarray) -> None:
-        """Overwrite all values from a flat vector (gradient-check plumbing)."""
-        pos = 0
-        for t in self._params.values():
-            n = t.size
-            t.data[...] = vec[pos:pos + n].reshape(t.shape)
-            pos += n
-        if pos != vec.size:
-            raise NumericsError(f"flat vector length {vec.size} != parameter count {pos}")

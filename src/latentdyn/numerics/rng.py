@@ -96,6 +96,3 @@ class RandomStream:
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) (argsort of fresh u64 keys)."""
         return np.argsort(self.raw(n), kind="stable")
-
-    def shuffle(self, items: list) -> list:
-        return [items[i] for i in self.permutation(len(items))]

@@ -113,23 +113,25 @@ def _branch_terms(pred: FeatureTokens, teacher: FeatureTokens, w: VicregWeights,
     return terms
 
 
-def bidirectional_loss(models: Models, clouds_t, clouds_tk, taus, eps_future,
-                       eps_history, w: VicregWeights, objective: str = "vicreg",
+def bidirectional_loss(models: Models, feats_t: np.ndarray, feats_tk: np.ndarray, taus,
+                       eps_future, eps_history, w: VicregWeights, objective: str = "vicreg",
                        no_history: bool = False,
                        token_level_inv: bool = False) -> tuple[Tensor, LossBreakdown]:
     """Predict-future plus predict-history loss over one batch of pairs.
 
-    Both branches reuse the same encodings and the same per-element taus;
-    each branch gets its own noise draw. Weighting is 1:1; `no_history`
-    drops the history branch (the inverse-consistency ablation).
+    feats_t and feats_tk are the (B, M, g, 6) grouped features of the
+    pairs' frames, from `Models.tokenize`. Both branches reuse the same
+    encodings and the same per-element taus; each branch gets its own
+    noise draw. Weighting is 1:1; `no_history` drops the history branch
+    (the inverse-consistency ablation).
     """
     if objective not in ("vicreg", "mse"):
         raise NumericsError(f"unknown objective {objective!r}")
-    if len(clouds_t) < 2:
+    if len(feats_t) < 2:
         raise NumericsError("bidirectional loss needs batch size >= 2")
-    z_t = models.encode_online(clouds_t)
-    z_tk = models.encode_online(clouds_tk)
-    teacher_tk = models.encode_target(clouds_tk)
+    z_t = models.encode_online(feats_t)
+    z_tk = models.encode_online(feats_tk)
+    teacher_tk = models.encode_target(feats_tk)
 
     pred_f, teach_f = branch_predict(models, z_t, z_tk, teacher_tk, taus, eps_future, "forward")
     terms_f = _branch_terms(pred_f, teach_f, w, objective, token_level_inv)
@@ -138,7 +140,7 @@ def bidirectional_loss(models: Models, clouds_t, clouds_tk, taus, eps_future,
         zero = Tensor(np.zeros((), dtype=str(terms_f["total"].dtype)))
         terms_h = {"inv": zero, "var": zero, "cov": zero, "total": zero}
     else:
-        teacher_t = models.encode_target(clouds_t)
+        teacher_t = models.encode_target(feats_t)
         pred_h, teach_h = branch_predict(models, z_t, z_tk, teacher_t, taus, eps_history,
                                          "backward")
         terms_h = _branch_terms(pred_h, teach_h, w, objective, token_level_inv)

@@ -1,5 +1,9 @@
 """Pre-training loop: pair batching, optimization, EMA updates, checkpoints.
 
+`train` tokenizes every frame of the dataset once, before the first epoch,
+into one (L, M, g, 6) array per trajectory; batches are stacked from those
+arrays, so no frame is grouped twice however many epochs run.
+
 Checkpoint layout (little-endian):
   magic "AFCK" | u32 version=1 | u64 step | u32 tensor_count
   per tensor: u16 name_len | name utf-8 | u32 ndim | u64 dims[] | f32 data[]
@@ -7,6 +11,8 @@ Checkpoint layout (little-endian):
   u32 config_len | config JSON utf-8
 
 Metrics are JSONL: one header line, then one record per training step.
+A resumed run first cuts the file back to the header and the records up to
+the checkpoint's step, then appends.
 """
 
 from __future__ import annotations
@@ -32,7 +38,10 @@ CKPT_VERSION = 1
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ModelConfig):
+    """The model's hyperparameters (inherited from ModelConfig) plus the
+    data, optimizer, teacher, objective and bookkeeping settings."""
+
     # data / sampling
     k: int = 4
     epochs: int = 300
@@ -46,15 +55,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     # teacher
     ema_m0: float = 0.996
-    # model dims
-    feat_dim: int = 64
-    tokens: int = 8
-    group_size: int = 32
-    action_dim: int = 16
-    idm_hidden: int = 64
-    cond_width: int = 64
-    ffn_mult: int = 4
-    diffusion_steps: int = 100
     # objective
     lambda_inv: float = 25.0
     lambda_var: float = 25.0
@@ -62,7 +62,6 @@ class TrainConfig:
     var_threshold: float = 1.0
     token_level_inv: bool = False
     # ablation switches
-    idm_input: str = "diff"
     no_history: bool = False
     objective: str = "vicreg"
     # bookkeeping
@@ -79,21 +78,13 @@ class TrainConfig:
             raise DataError("pairs_per_traj must be >= 1")
         if self.objective not in ("vicreg", "mse"):
             raise DataError(f"objective must be vicreg or mse, got {self.objective!r}")
-        self.model_config().validate()
+        super().validate()
 
     @classmethod
     def desk_preset(cls, **overrides) -> "TrainConfig":
         base = dict(epochs=50, batch_size=32)
         base.update(overrides)
         return cls(**base)
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            feat_dim=self.feat_dim, tokens=self.tokens, group_size=self.group_size,
-            action_dim=self.action_dim, idm_hidden=self.idm_hidden,
-            idm_input=self.idm_input, cond_width=self.cond_width,
-            ffn_mult=self.ffn_mult, diffusion_steps=self.diffusion_steps,
-        )
 
     def vicreg_weights(self) -> VicregWeights:
         return VicregWeights(invariance=self.lambda_inv, variance=self.lambda_var,
@@ -129,20 +120,10 @@ class TrainState:
     total_steps: int = 0
 
 
-def _combined_trainables(models: Models) -> ParamStore:
-    """One store of shared references so backward/optimizer see every
-    trainable parameter in a fixed global order (never the target)."""
-    combined = ParamStore()
-    for prefix, store in (("enc", models.online), ("idm", models.idm), ("fdm", models.fdm)):
-        for name, tensor in store.items():
-            combined.add(f"{prefix}.{name}", tensor)
-    return combined
-
-
 def init_train_state(cfg: TrainConfig, total_steps: int = 0) -> TrainState:
     cfg.validate()
-    models = init_models(cfg.model_config(), cfg.seed)
-    trainable = _combined_trainables(models)
+    models = init_models(cfg, cfg.seed)
+    trainable = models.trainables()
     opt = OptState.for_params(trainable, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                               weight_decay=cfg.weight_decay)
     return TrainState(
@@ -153,10 +134,11 @@ def init_train_state(cfg: TrainConfig, total_steps: int = 0) -> TrainState:
     )
 
 
-def training_step(state: TrainState, clouds_t, clouds_tk, epoch: int = 0) -> MetricsRecord:
-    """One optimization step on a batch of (t, t+k) cloud pairs."""
+def training_step(state: TrainState, feats_t: np.ndarray, feats_tk: np.ndarray,
+                  epoch: int = 0) -> MetricsRecord:
+    """One optimization step on the grouped features of a batch of (t, t+k) pairs."""
     cfg = state.config
-    b = len(clouds_t)
+    b = len(feats_t)
     if b < 2:
         raise DataError("training batch must have >= 2 pairs")
     t0 = time.perf_counter()
@@ -168,7 +150,7 @@ def training_step(state: TrainState, clouds_t, clouds_tk, epoch: int = 0) -> Met
 
     state.trainable.zero_grad()
     total, breakdown = bidirectional_loss(
-        state.models, clouds_t, clouds_tk, taus, eps_future, eps_history,
+        state.models, feats_t, feats_tk, taus, eps_future, eps_history,
         cfg.vicreg_weights(), objective=cfg.objective, no_history=cfg.no_history,
         token_level_inv=cfg.token_level_inv,
     )
@@ -205,29 +187,14 @@ def steps_per_epoch(cfg: TrainConfig, n_traj: int) -> int:
     return full + (1 if rem >= 2 else 0)
 
 
-class _TokenCache:
-    """Grouped point features per (trajectory, frame); frames never change
-    across epochs, so tokenization is computed once per frame."""
-
-    def __init__(self, dataset: list[Trajectory], tokens: int, group_size: int):
-        self._dataset = dataset
-        self._tokens = tokens
-        self._group_size = group_size
-        self._feats: dict[tuple[int, int], np.ndarray] = {}
-
-    def batch(self, indices: list[tuple[int, int]]) -> np.ndarray:
-        from .encoder import group_features
-
-        rows = []
-        for key in indices:
-            feats = self._feats.get(key)
-            if feats is None:
-                i, t = key
-                feats = group_features(self._dataset[i].frames[t], self._tokens,
-                                       self._group_size)
-                self._feats[key] = feats
-            rows.append(feats)
-        return np.stack(rows)
+def _cut_metrics(path: Path, step: int) -> None:
+    """Keep the header and the complete records of steps <= step."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.readlines()
+    kept = [line for line in lines[1:]
+            if line.endswith("\n") and json.loads(line)["step"] <= step]
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(lines[:1] + kept)
 
 
 def train(cfg: TrainConfig, dataset: list[Trajectory], out_dir,
@@ -265,19 +232,21 @@ def train(cfg: TrainConfig, dataset: list[Trajectory], out_dir,
         state = init_train_state(cfg, total_steps)
         start_epoch = 0
 
+    tokens = [state.models.tokenize(traj.frames) for traj in dataset]
     metrics_path = out_dir / "metrics.jsonl"
-    mode = "a" if resume_from is not None and metrics_path.exists() else "w"
-    with open(metrics_path, mode, encoding="utf-8") as metrics:
-        if mode == "w":
+    resuming = resume_from is not None and metrics_path.exists()
+    if resuming:
+        _cut_metrics(metrics_path, state.step)
+    with open(metrics_path, "a" if resuming else "w", encoding="utf-8") as metrics:
+        if not resuming:
             header = {"type": "header", "total_steps": total_steps,
                       "steps_per_epoch": spe, "n_trajectories": len(dataset),
                       "config": dataclasses.asdict(cfg)}
             metrics.write(json.dumps(header, sort_keys=True) + "\n")
-        cache = _TokenCache(dataset, cfg.tokens, cfg.group_size)
         for epoch in range(start_epoch, cfg.epochs):
             for batch in _epoch_batches(state, dataset):
-                feats_t = cache.batch(batch)
-                feats_tk = cache.batch([(i, t + cfg.k) for i, t in batch])
+                feats_t = np.stack([tokens[i][t] for i, t in batch])
+                feats_tk = np.stack([tokens[i][t + cfg.k] for i, t in batch])
                 try:
                     record = training_step(state, feats_t, feats_tk, epoch=epoch)
                 except NumericsError as err:

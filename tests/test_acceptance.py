@@ -121,8 +121,7 @@ class TestA2AdaLNZeroIdentity:
         alpha = LatentAction(
             Tensor(stream.normal((2, cfg.action_dim), dtype=np.float32)), "forward")
         denoised = fdm_denoise(models.fdm, z_noisy, z_cond, alpha, np.array([5, 50]),
-                               models.sched, n_blocks=cfg.n_blocks,
-                               sinusoid_dim=cfg.sinusoid_dim)
+                               models.sched, n_blocks=cfg.n_blocks)
         err = np.abs(denoised.tokens.data - layer_norm(z_noisy.tokens).data).max()
         ok = identical and err <= 1e-6
         _report("A2", ok, f"4 blocks exactly identity: {identical}; "

@@ -48,6 +48,12 @@ class TestParseConfig:
         cfg = parse_config(tiny_config_path, {"train.k": 16})
         assert cfg.train.k == 16
 
+    def test_block_count_settable_and_validated(self):
+        assert parse_config(None).train.n_blocks == 4
+        assert parse_config(None, {"train.n_blocks": 2}).train.n_blocks == 2
+        with pytest.raises(ConfigError):
+            parse_config(None, {"train.n_blocks": 0})
+
     def test_unknown_key_named_in_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"leanring_rate": 1e-4}))
@@ -177,21 +183,3 @@ class TestPipeline:
                      "--skip-frames", "2", "--stride", "2"]) == EXIT_OK
         trajs = read_dataset(data)
         assert all(t.length == 3 for t in trajs)  # frames 2, 4, 6 of 8
-
-    def test_thread_env_validation(self, tiny_config_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("LATENT_DYN_THREADS", "zero")
-        code = main(["gen-data", "--config", str(tiny_config_path),
-                     "--out", str(tmp_path / "x.afro")])
-        assert code == EXIT_CONFIG
-
-    def test_thread_env_respected(self, tiny_config_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LATENT_DYN_THREADS", "1")
-        data = tmp_path / "single.afro"
-        assert main(["gen-data", "--config", str(tiny_config_path), "--out",
-                     str(data), "--seed", "9"]) == EXIT_OK
-        # worker count must not change the generated bytes
-        monkeypatch.setenv("LATENT_DYN_THREADS", "2")
-        data2 = tmp_path / "double.afro"
-        main(["gen-data", "--config", str(tiny_config_path), "--out", str(data2),
-              "--seed", "9"])
-        assert data.read_bytes() == data2.read_bytes()

@@ -17,7 +17,6 @@ from latentdyn.data import (
     generate_trajectory,
     preprocess_depth_sequence,
     read_dataset,
-    sample_pairs,
     trajectories_equal,
     trajectory_seed,
     write_dataset,
@@ -266,27 +265,6 @@ class TestTrajectoryGeneration:
             c = f.points[:n_obj].mean(axis=0)
             assert np.all(c[:2] > np.array(cfg.workspace_min[:2]) - 1e-6)
             assert np.all(c[:2] < np.array(cfg.workspace_max[:2]) + 1e-6)
-
-
-class TestSamplePairs:
-    def test_single_valid_pair(self):
-        cfg = SceneConfig(n_points=96, length=5)
-        traj = generate_trajectory(cfg, 1)
-        pairs = sample_pairs(traj, 4, RandomStream.derive(0, "pairs"), count=10)
-        assert all(t == 0 for t, _, _ in pairs)
-
-    def test_interval_too_large_rejected(self):
-        cfg = SceneConfig(n_points=96, length=5)
-        traj = generate_trajectory(cfg, 1)
-        with pytest.raises(DataError):
-            sample_pairs(traj, 5, RandomStream.derive(0, "pairs"))
-
-    def test_pairs_cover_range(self):
-        cfg = SceneConfig(n_points=96, length=10)
-        traj = generate_trajectory(cfg, 1)
-        pairs = sample_pairs(traj, 4, RandomStream.derive(0, "pairs"), count=200)
-        ts = {t for t, _, _ in pairs}
-        assert ts == set(range(6))
 
 
 class TestSubsample:

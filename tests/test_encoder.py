@@ -6,8 +6,6 @@ import pytest
 from latentdyn.data import DataError, PointCloud, SceneConfig, generate_trajectory
 from latentdyn.encoder import (
     FeatureTokens,
-    encode,
-    encode_batch,
     ema_update,
     encode_groups,
     group_features,
@@ -64,16 +62,14 @@ class TestTokenize:
 
 class TestEncode:
     def test_deterministic_bitwise(self, params, cloud):
-        a = encode(params, cloud, 4, 16)
-        b = encode(params, cloud, 4, 16)
-        assert np.array_equal(a.tokens.data, b.tokens.data)
-        assert a.source == "student"
+        a = encode_groups(params, group_features(cloud, 4, 16))
+        b = encode_groups(params, group_features(cloud, 4, 16))
+        assert np.array_equal(a.data, b.data)
 
     def test_output_shape(self, params, cloud):
-        z = encode(params, cloud, 4, 16)
-        assert z.tokens.shape == (4, 16)
-        zb = encode_batch(params, [cloud, cloud], 4, 16)
-        assert zb.tokens.shape == (2, 4, 16)
+        feats = group_features(cloud, 4, 16)
+        assert encode_groups(params, feats).shape == (4, 16)
+        assert encode_groups(params, np.stack([feats, feats])).shape == (2, 4, 16)
 
     def test_within_group_permutation_invariance_bitwise(self, params, cloud):
         feats = group_features(cloud, 4, 16)
@@ -85,8 +81,9 @@ class TestEncode:
         assert np.array_equal(out, out_shuffled)
 
     def test_batch_matches_single(self, params, cloud):
-        single = encode(params, cloud, 4, 16).tokens.data
-        batched = encode_batch(params, [cloud], 4, 16).tokens.data[0]
+        feats = group_features(cloud, 4, 16)
+        single = encode_groups(params, feats).data
+        batched = encode_groups(params, feats[None]).data[0]
         assert np.allclose(single, batched, atol=1e-6)
 
     def test_source_tag_validation(self):
@@ -164,9 +161,9 @@ class TestEma:
 
     def test_target_never_accumulates_gradient(self, cloud):
         online, target = self._stores()
-        z = encode(target, cloud, 4, 8)
-        assert not z.tokens.requires_grad
-        loss = tsum(z.tokens * 2.0)
+        z = encode_groups(target, group_features(cloud, 4, 8))
+        assert not z.requires_grad
+        loss = tsum(z * 2.0)
         assert not loss.requires_grad
         for _, t in target.items():
             assert t.grad is None

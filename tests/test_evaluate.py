@@ -183,10 +183,11 @@ class TestRunProbe:
         from latentdyn.evaluate import _pooled_features, _probe_pairs
 
         state, trajs = setup
-        pooled = _pooled_features(state.models, trajs[:1], "online")
-        alphas, _ = _probe_pairs(state.models, trajs[:1], state.config.k, pooled)
-        z_t = state.models.encode_online([trajs[0].frames[0]])
-        z_tk = state.models.encode_online([trajs[0].frames[state.config.k]])
+        models = state.models
+        pooled = _pooled_features(models, trajs[:1], ("online",))["online"]
+        alphas, _ = _probe_pairs(models, trajs[:1], state.config.k, pooled)
+        z_t = models.encode_online(models.tokenize([trajs[0].frames[0]]))
+        z_tk = models.encode_online(models.tokenize([trajs[0].frames[state.config.k]]))
         ref = infer_latent_action(state.models.idm, z_t, z_tk, "forward").vector.data[0]
         assert np.allclose(alphas[0], ref, atol=1e-5)
 

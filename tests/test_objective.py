@@ -114,6 +114,10 @@ class TestMseOnly:
             mse_only_loss(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
 
 
+def _loss_on_clouds(models, ct, ctk, *args, **kwargs):
+    return bidirectional_loss(models, models.tokenize(ct), models.tokenize(ctk), *args, **kwargs)
+
+
 class TestBidirectional:
     @pytest.fixture
     def setup(self):
@@ -133,20 +137,20 @@ class TestBidirectional:
 
     def test_total_is_future_plus_history(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
-        total, bd = bidirectional_loss(models, ct, ctk, taus, ef, eh, weights)
+        total, bd = _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights)
         assert bd.total == pytest.approx(bd.total_future + bd.total_history, rel=1e-6)
         assert total.item() == pytest.approx(bd.total, rel=1e-6)
         assert min(bd.inv, bd.var, bd.cov) >= 0.0
 
     def test_no_history_drops_history_term(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
-        _, bd = bidirectional_loss(models, ct, ctk, taus, ef, eh, weights, no_history=True)
+        _, bd = _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights, no_history=True)
         assert bd.total_history == 0.0
         assert bd.total == bd.total_future
 
     def test_branches_match_public_ops_bitwise(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
-        _, bd = bidirectional_loss(models, ct, ctk, taus, ef, eh, weights)
+        _, bd = _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights)
         pf, tf = predict_future(models, ct, ctk, taus, ef)
         ph, th = predict_history(models, ct, ctk, taus, eh)
         fut = vicreg(pool(pf.tokens), pool(tf.tokens), weights)
@@ -156,15 +160,15 @@ class TestBidirectional:
 
     def test_swapped_pair_order_swaps_components(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
-        _, bd = bidirectional_loss(models, ct, ctk, taus, ef, eh, weights)
-        _, bd_swapped = bidirectional_loss(models, ctk, ct, taus, eh, ef, weights)
+        _, bd = _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights)
+        _, bd_swapped = _loss_on_clouds(models, ctk, ct, taus, eh, ef, weights)
         assert bd_swapped.total_future == pytest.approx(bd.total_history, rel=1e-6)
         assert bd_swapped.total_history == pytest.approx(bd.total_future, rel=1e-6)
 
     def test_mse_objective_has_no_var_cov(self, setup):
         models, ct, ctk, taus, ef, eh = setup
-        _, bd = bidirectional_loss(models, ct, ctk, taus, ef, eh, VicregWeights(),
-                                   objective="mse")
+        _, bd = _loss_on_clouds(models, ct, ctk, taus, ef, eh, VicregWeights(),
+                                objective="mse")
         assert bd.var == 0.0 and bd.cov == 0.0
         assert bd.total == pytest.approx(bd.inv, rel=1e-6)
 
@@ -173,31 +177,29 @@ class TestBidirectional:
         from latentdyn.encoder import ema_update
 
         ema_update(models.target, models.online, 0.0)
-        total, bd = bidirectional_loss(models, ct, ct, taus, ef, eh, weights)
+        total, bd = _loss_on_clouds(models, ct, ct, taus, ef, eh, weights)
         assert np.isfinite(bd.total)
 
     def test_batch_of_one_rejected(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
         with pytest.raises(NumericsError):
-            bidirectional_loss(models, ct[:1], ctk[:1], taus[:1], ef[:1], eh[:1], weights)
+            _loss_on_clouds(models, ct[:1], ctk[:1], taus[:1], ef[:1], eh[:1], weights)
 
     def test_unknown_objective_rejected(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
         with pytest.raises(NumericsError):
-            bidirectional_loss(models, ct, ctk, taus, ef, eh, weights, objective="l1")
+            _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights, objective="l1")
 
     def test_token_level_invariance_flag(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
-        _, pooled = bidirectional_loss(models, ct, ctk, taus, ef, eh, weights)
-        _, tokens = bidirectional_loss(models, ct, ctk, taus, ef, eh, weights,
-                                       token_level_inv=True)
+        _, pooled = _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights)
+        _, tokens = _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights,
+                                    token_level_inv=True)
         assert tokens.inv != pooled.inv
         assert tokens.var == pytest.approx(pooled.var, rel=1e-6)
 
     def test_gradient_matches_finite_differences(self, weights):
         # full-loss closure in float64 over a few spot-checked coordinates
-        from latentdyn.numerics import ParamStore
-
         cfg = ModelConfig(feat_dim=6, tokens=3, group_size=4, action_dim=3,
                           idm_hidden=5, cond_width=4, ffn_mult=2, n_blocks=1,
                           diffusion_steps=8)
@@ -206,19 +208,15 @@ class TestBidirectional:
             for _, t in store.items():
                 t.data = t.data.astype(np.float64)
         models.target = models.target.astype(np.float64)
-        combined = ParamStore()
-        for prefix, store in (("enc", models.online), ("idm", models.idm),
-                              ("fdm", models.fdm)):
-            for name, tensor in store.items():
-                combined.add(f"{prefix}.{name}", tensor)
+        combined = models.trainables()
         scene = SceneConfig(n_points=24, length=6, n_distractors=0)
         traj = generate_trajectory(scene, 12)
         from latentdyn.data import PointCloud
 
-        ct = [PointCloud(traj.frames[0].points.astype(np.float64)),
-              PointCloud(traj.frames[1].points.astype(np.float64))]
-        ctk = [PointCloud(traj.frames[4].points.astype(np.float64)),
-               PointCloud(traj.frames[5].points.astype(np.float64))]
+        ct = models.tokenize([PointCloud(traj.frames[0].points.astype(np.float64)),
+                              PointCloud(traj.frames[1].points.astype(np.float64))])
+        ctk = models.tokenize([PointCloud(traj.frames[4].points.astype(np.float64)),
+                               PointCloud(traj.frames[5].points.astype(np.float64))])
         stream = RandomStream.derive(13, "fd")
         taus = np.array([3, 6])
         ef = stream.normal((2, 3, 6))

@@ -2,16 +2,17 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from latentdyn.data import DataError, SceneConfig, generate_trajectory, trajectory_seed
+from latentdyn.dynamics import ModelConfig
 from latentdyn.encoder import momentum_schedule
 from latentdyn.trainer import (
     CheckpointFormatError,
     TrainConfig,
-    _TokenCache,
     _epoch_batches,
     init_train_state,
     load_checkpoint,
@@ -37,9 +38,9 @@ def dataset():
 
 
 def _batch_feats(state, dataset, cfg):
-    cache = _TokenCache(dataset, cfg.tokens, cfg.group_size)
     batch = _epoch_batches(state, dataset)[0]
-    return (cache.batch(batch), cache.batch([(i, t + cfg.k) for i, t in batch]))
+    return tuple(state.models.tokenize([dataset[i].frames[t + offset] for i, t in batch])
+                 for offset in (0, cfg.k))
 
 
 class TestTrainingStep:
@@ -97,9 +98,10 @@ class TestTrainingStep:
     def test_batch_too_small_rejected(self, dataset):
         cfg = tiny_config()
         state = init_train_state(cfg, total_steps=10)
-        cache = _TokenCache(dataset, cfg.tokens, cfg.group_size)
+        frames = dataset[0].frames
         with pytest.raises(DataError):
-            training_step(state, cache.batch([(0, 0)]), cache.batch([(0, 2)]))
+            training_step(state, state.models.tokenize([frames[0]]),
+                          state.models.tokenize([frames[2]]))
 
 
 class TestTrainLoop:
@@ -128,6 +130,22 @@ class TestTrainLoop:
         resumed = train(cfg, dataset, tmp_path / "resumed",
                         resume_from=tmp_path / "full" / "epoch_0002.afck")
         assert full.read_bytes() == resumed.read_bytes()
+
+    def test_resume_into_same_directory_cuts_metrics_to_checkpoint(self, dataset, tmp_path):
+        cfg = tiny_config(epochs=3, checkpoint_every=1)
+        run = tmp_path / "run"
+        train(cfg, dataset, run)
+        before = (run / "metrics.jsonl").read_text().splitlines()
+        train(cfg, dataset, run, resume_from=run / "epoch_0001.afck")
+        after = (run / "metrics.jsonl").read_text().splitlines()
+        assert after[0] == before[0]
+        records = [json.loads(line) for line in after[1:]]
+        assert [r["step"] for r in records] == list(
+            range(1, 3 * steps_per_epoch(cfg, len(dataset)) + 1))
+        for old, new in zip(before[1:], records):
+            old = json.loads(old)
+            assert {k: v for k, v in old.items() if k != "wall_ms"} == \
+                {k: v for k, v in new.items() if k != "wall_ms"}
 
     def test_resume_config_mismatch_rejected(self, dataset, tmp_path):
         cfg = tiny_config(epochs=2, checkpoint_every=1)
@@ -172,6 +190,23 @@ class TestCheckpointFormat:
         assert names[0].startswith("enc.")
         assert any(n.startswith("idm.") for n in names)
         assert any(n.startswith("fdm.") for n in names)
+
+    def test_config_without_n_blocks_loads_with_default(self, dataset, tmp_path):
+        cfg = tiny_config(epochs=1)
+        final = train(cfg, dataset, tmp_path / "run")
+        raw = final.read_bytes()
+        config_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
+        tail = struct.pack("<I", len(config_json)) + config_json
+        assert raw.endswith(tail)
+        older = dataclasses.asdict(cfg)
+        del older["n_blocks"]
+        older_json = json.dumps(older, sort_keys=True).encode("utf-8")
+        legacy = tmp_path / "legacy.afck"
+        legacy.write_bytes(raw[:-len(tail)] + struct.pack("<I", len(older_json)) + older_json)
+        state = load_checkpoint(legacy)
+        assert state.config.n_blocks == ModelConfig().n_blocks
+        assert np.array_equal(state.trainable.flatten(),
+                              load_checkpoint(final).trainable.flatten())
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.afck"
