@@ -34,6 +34,7 @@ from .numerics import (
     concat,
     div,
     gelu,
+    gelu_max,
     grad_check,
     layer_norm,
     linear,
@@ -108,6 +109,8 @@ def _primitive_checks(stream: RandomStream):
     add_check("mean", {"a": (3, 4)}, lambda p, r: scalarize(tmean(p["a"], axis=-1), r((3,))))
     add_check("max_pool", {"a": (3, 5, 4)},
               lambda p, r: scalarize(tmax(p["a"], axis=-2), r((3, 4))))
+    add_check("gelu_max_pool", {"a": (3, 5, 4)},
+              lambda p, r: scalarize(gelu_max(p["a"], axis=-2), r((3, 4))))
     add_check("maximum_hinge", {"a": (3, 4)},
               lambda p, r: scalarize(maximum(p["a"], 0.25), r((3, 4))))
     add_check("sqrt", {"a": (3, 4)},

@@ -7,13 +7,16 @@ Little-endian layout:
 
 A sidecar "<path>.meta.json" carries the generator config, the global
 seed, and the per-trajectory scene descriptors (not representable in the
-fixed binary layout).
+fixed binary layout). Both files are written through ``atomic_writer``, so
+a crash mid-write leaves the previous file in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -30,12 +33,26 @@ class DatasetFormatError(DataError):
     """Bad magic, unsupported version, or truncated payload."""
 
 
+@contextmanager
+def atomic_writer(path, mode: str = "wb", **kwargs):
+    """Open a temp file in path's directory; on a clean exit it replaces
+    path, on an error it is deleted and path is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_dataset(trajs: list[Trajectory], path, config: SceneConfig | None = None,
                   seed: int | None = None) -> None:
     if not trajs:
         raise DataError("refusing to write an empty dataset")
-    path = Path(path)
-    with open(path, "wb") as f:
+    with atomic_writer(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(trajs)))
         for traj in trajs:
@@ -50,7 +67,7 @@ def write_dataset(trajs: list[Trajectory], path, config: SceneConfig | None = No
         "seed": seed,
         "descriptors": [t.descriptor for t in trajs],
     }
-    with open(f"{path}.meta.json", "w", encoding="utf-8") as f:
+    with atomic_writer(f"{path}.meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -97,25 +97,25 @@ def _box_face_areas(size: np.ndarray) -> np.ndarray:
     return np.array([sy * sz, sy * sz, sx * sz, sx * sz, sx * sy, sx * sy])
 
 
-def _sample_box_surface(stream: RandomStream, size: np.ndarray, n: int) -> np.ndarray:
-    """n points uniform on the surface of a centered axis-aligned box."""
+# the two in-face axes of each face axis (0: +-x faces, 1: +-y, 2: +-z)
+_FACE_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _sample_box_surface(draws: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """len(draws) // 3 points uniform on the surface of a centered
+    axis-aligned box, from uniforms laid out as [face | u | v]."""
+    n = len(draws) // 3
     areas = _box_face_areas(size)
     cdf = np.cumsum(areas / areas.sum())
-    face = np.searchsorted(cdf, stream.uniform(n), side="right")
-    u = (stream.uniform(n) - 0.5)
-    v = (stream.uniform(n) - 0.5)
-    pts = np.empty((n, 3))
+    face = np.searchsorted(cdf, draws[:n], side="right")
+    axis = face // 2
+    other = _FACE_OTHER_AXES[axis]
+    rows = np.arange(n)
     half = size / 2.0
-    for f in range(6):
-        mask = face == f
-        if not mask.any():
-            continue
-        axis = f // 2  # 0: +-x faces, 1: +-y, 2: +-z
-        sign = 1.0 if f % 2 == 0 else -1.0
-        other = [i for i in range(3) if i != axis]
-        pts[mask, axis] = sign * half[axis]
-        pts[mask, other[0]] = u[mask] * size[other[0]]
-        pts[mask, other[1]] = v[mask] * size[other[1]]
+    pts = np.empty((n, 3))
+    pts[rows, axis] = np.where(face % 2 == 0, 1.0, -1.0) * half[axis]
+    pts[rows, other[:, 0]] = (draws[n:2 * n] - 0.5) * size[other[:, 0]]
+    pts[rows, other[:, 1]] = (draws[2 * n:] - 0.5) * size[other[:, 1]]
     return pts
 
 
@@ -210,12 +210,16 @@ def generate_trajectory(cfg: SceneConfig, seed: int) -> Trajectory:
     # Frame layout: [actuated pts | other objects | table], counts above.
     frames = []
     table_span = ws_hi[:2] - ws_lo[:2]
+    # Each frame's uniforms in one draw: per object [face | u | v], then the
+    # table's xy pairs.
+    ends = np.cumsum(3 * obj_counts)
     for t in range(cfg.length):
+        draws = stream.uniform(int(ends[-1]) + 2 * n_table)
         parts = []
-        for i, size in enumerate(sizes):
+        for i, box_draws in enumerate(np.split(draws[:ends[-1]], ends[:-1])):
             center = actuated_path[t] if roles[i] == "actuated" else centers[i]
-            parts.append(_sample_box_surface(stream, size, int(obj_counts[i])) + center)
-        table_xy = ws_lo[:2] + table_span * stream.uniform(2 * n_table).reshape(n_table, 2)
+            parts.append(_sample_box_surface(box_draws, sizes[i]) + center)
+        table_xy = ws_lo[:2] + table_span * draws[ends[-1]:].reshape(n_table, 2)
         parts.append(np.concatenate([table_xy, np.zeros((n_table, 1))], axis=1))
         pts = np.concatenate(parts, axis=0)
         if cfg.depth_noise_std > 0:

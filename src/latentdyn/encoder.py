@@ -23,10 +23,10 @@ from .numerics import (
     Tensor,
     attention,
     gelu,
+    gelu_max,
     layer_norm,
     linear,
     matmul,
-    tmax,
     tmean,
 )
 
@@ -91,8 +91,8 @@ def encode_groups(params: ParamStore, feats: np.ndarray) -> Tensor:
     dtype = params["tok.fc1.w"].dtype
     x = Tensor(np.asarray(feats, dtype=dtype))
     h = gelu(linear(x, params["tok.fc1.w"], params["tok.fc1.b"]))
-    h = gelu(linear(h, params["tok.fc2.w"], params["tok.fc2.b"]))
-    raw = tmax(h, axis=-2)  # max-pool over the group: order-invariant
+    # GELU then max-pool over the group (order-invariant), as one node
+    raw = gelu_max(linear(h, params["tok.fc2.w"], params["tok.fc2.b"]), axis=-2)
     normed = layer_norm(raw)  # pre-LN keeps mixing scale-invariant
     q = matmul(normed, params["mix.wq"])
     k = matmul(normed, params["mix.wk"])

@@ -6,6 +6,11 @@ tape in reverse topological order. Every op result is checked for NaN/Inf
 (a NumericsError, never a silent propagation). Training runs in float32,
 gradient checks in float64; binary ops refuse mixed dtypes so the split
 stays explicit.
+
+``gelu_max`` is the tokenizer's fused GELU + max-pool node. GELU falls on
+(-inf, c] and rises on [c, inf), c ~ -0.752, so a group's max of GELU is
+GELU at the group's min or max: only those two values go through GELU, and
+the VJP writes one value per group.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ class NumericsError(ValueError):
 
 
 def _check_finite(data: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericsError(f"non-finite values produced by {where}")
 
 
@@ -280,17 +285,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def vjp(g):
             g2 = g.reshape(-1, b.shape[-1])
-            ga = (g2 @ b.data.T).reshape(a.shape)
-            gb = a2.T @ g2
+            ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
+            gb = a2.T @ g2 if b.requires_grad else None
             return (ga, gb)
 
         return _result(data, (a, b), vjp, "matmul")
     data = a.data @ b.data
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        return (ga, gb)
 
     return _result(data, (a, b), vjp, "matmul")
 
@@ -438,16 +443,65 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return y
 
 
+def _gelu_phi(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), in x's dtype."""
+    phi = x * _INV_SQRT2
+    _erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """g * GELU'(x) = g * (Phi(x) + x * pdf(x)), with phi = Phi(x)."""
+    d = x * -0.5
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= x
+    d += phi
+    d *= g
+    return d
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x), fused (single tape node)."""
-    phi = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
-    data = (x.data * phi).astype(x.dtype, copy=False)
+    phi = _gelu_phi(x.data)
+    data = x.data * phi
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return ((g * (phi + x.data * pdf)).astype(x.dtype, copy=False),)
+        return (_gelu_grad(g, x.data, phi),)
 
     return _result(data, (x,), vjp, "gelu")
+
+
+def gelu_max(a: Tensor, axis: int = -2) -> Tensor:
+    """tmax(gelu(a), axis) as one tape node.
+
+    GELU is unimodal with its minimum at c ~ -0.752, so over each group
+    only the group's min and max go through GELU and the larger is kept
+    (on equal values, the max). The gradient goes to the lowest index that
+    holds the chosen input, as tmax routes ties.
+    """
+    hi = a.data.max(axis=axis)
+    lo = a.data.min(axis=axis)
+    phi_hi = _gelu_phi(hi)
+    phi_lo = _gelu_phi(lo)
+    gelu_hi = hi * phi_hi
+    gelu_lo = lo * phi_lo
+    take_lo = gelu_lo > gelu_hi
+    data = np.where(take_lo, gelu_lo, gelu_hi)
+    _check_finite(gelu_lo, "gelu_max")  # a -inf min never wins the where
+
+    def vjp(g):
+        pick = np.where(take_lo, lo, hi)
+        idx = np.expand_dims(np.argmax(a.data == np.expand_dims(pick, axis), axis=axis), axis)
+        full = np.zeros_like(a.data)
+        grad = _gelu_grad(g, pick, np.where(take_lo, phi_lo, phi_hi))
+        np.put_along_axis(full, idx, np.expand_dims(grad, axis), axis=axis)
+        return (full,)
+
+    return _result(data, (a,), vjp, "gelu_max")
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:

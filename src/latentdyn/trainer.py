@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data.geometry import DataError
+from .data.io import atomic_writer
 from .data.synthetic import Trajectory
 from .dynamics import ModelConfig, Models, init_models
 from .encoder import ema_update, momentum_schedule
@@ -288,10 +289,11 @@ def _checkpoint_tensors(state: TrainState) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    path = Path(path)
+    """Write the checkpoint through a temp file, so a crash mid-write
+    leaves any previous file at path intact."""
     tensors = _checkpoint_tensors(state)
     config_json = json.dumps(dataclasses.asdict(state.config), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_writer(path) as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<I", CKPT_VERSION))
         f.write(struct.pack("<Q", state.step))

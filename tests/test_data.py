@@ -21,7 +21,7 @@ from latentdyn.data import (
     trajectory_seed,
     write_dataset,
 )
-from latentdyn.data.synthetic import subsample_trajectory
+from latentdyn.data.synthetic import _sample_box_surface, subsample_trajectory
 from latentdyn.numerics import RandomStream
 
 
@@ -174,7 +174,82 @@ class TestPreprocessPipeline:
         assert all(c.n == 128 for c in clouds)
 
 
+def per_face_box_surface(stream: RandomStream, size: np.ndarray, n: int) -> np.ndarray:
+    """Reference box-surface sampler: three uniform draws (face, u, v), then
+    one masked assignment per face."""
+    areas = np.array([size[1] * size[2], size[1] * size[2], size[0] * size[2],
+                      size[0] * size[2], size[0] * size[1], size[0] * size[1]])
+    cdf = np.cumsum(areas / areas.sum())
+    face = np.searchsorted(cdf, stream.uniform(n), side="right")
+    u = (stream.uniform(n) - 0.5)
+    v = (stream.uniform(n) - 0.5)
+    pts = np.empty((n, 3))
+    half = size / 2.0
+    for f in range(6):
+        mask = face == f
+        if not mask.any():
+            continue
+        axis = f // 2
+        sign = 1.0 if f % 2 == 0 else -1.0
+        other = [i for i in range(3) if i != axis]
+        pts[mask, axis] = sign * half[axis]
+        pts[mask, other[0]] = u[mask] * size[other[0]]
+        pts[mask, other[1]] = v[mask] * size[other[1]]
+    return pts
+
+
+def reference_frames(cfg: SceneConfig, traj) -> list[np.ndarray]:
+    """The trajectory's frames redrawn from its stream with the reference
+    sampler: per object three uniform calls, then the table, then the noise.
+    Layout comes from the descriptor; the pushed box's path from replaying
+    the action draws, with each applied action's sign read from the record."""
+    objects = traj.descriptor["objects"]
+    stream = RandomStream.derive(traj.seed, "trajectory")
+    stream.uniform(5 * len(objects))  # sizes (3 each), then centres (2 each)
+    path = [np.array(objects[0]["center"])]
+    for recorded in traj.actions:
+        drawn = (stream.uniform(2) * 2.0 - 1.0) * cfg.action_max
+        applied = np.copysign(np.abs(drawn), recorded)
+        pos = path[-1][:2] + applied
+        path.append(np.array([pos[0], pos[1], path[0][2]]))
+    ws_lo = np.asarray(cfg.workspace_min, dtype=np.float64)
+    table_span = np.asarray(cfg.workspace_max, dtype=np.float64)[:2] - ws_lo[:2]
+    n_table = traj.descriptor["table"]["n_points"]
+    frames = []
+    for t in range(traj.length):
+        parts = [per_face_box_surface(stream, np.array(o["size"]), o["n_points"])
+                 + (path[t] if o["role"] == "actuated" else np.array(o["center"]))
+                 for o in objects]
+        table_xy = ws_lo[:2] + table_span * stream.uniform(2 * n_table).reshape(n_table, 2)
+        parts.append(np.concatenate([table_xy, np.zeros((n_table, 1))], axis=1))
+        pts = np.concatenate(parts, axis=0)
+        pts[:, 2] += cfg.depth_noise_std * stream.normal(pts.shape[0])
+        np.maximum(pts[:, 2], 0.0, out=pts[:, 2])
+        frames.append(pts.astype(np.float32))
+    return frames
+
+
 class TestTrajectoryGeneration:
+    def test_box_surface_matches_per_face_reference(self):
+        sizes = RandomStream.derive(4, "sizes")
+        for case in range(20):
+            size = 0.01 + 0.1 * sizes.uniform(3)
+            n = 1 + case * 7
+            a = RandomStream.derive(case, "surface")
+            b = RandomStream.derive(case, "surface")
+            expected = per_face_box_surface(a, size, n)
+            assert np.array_equal(_sample_box_surface(b.uniform(3 * n), size), expected)
+
+    @pytest.mark.parametrize("n_distractors", [0, 3])
+    def test_frames_match_per_face_reference_bitwise(self, n_distractors):
+        cfg = SceneConfig(length=6, n_distractors=n_distractors)
+        for seed in range(4):
+            traj = generate_trajectory(cfg, trajectory_seed(seed, 0))
+            expected = reference_frames(cfg, traj)
+            for frame, ref in zip(traj.frames, expected):
+                assert frame.points.dtype == ref.dtype
+                assert np.array_equal(frame.points, ref)
+
     def test_determinism_bitwise(self):
         cfg = SceneConfig(n_points=96, length=6)
         a = generate_trajectory(cfg, 42)
@@ -329,6 +404,23 @@ class TestDatasetRoundTrip:
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(DatasetFormatError, match="truncated"):
             read_dataset(path)
+
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        cfg = SceneConfig(n_points=64, length=4)
+        path = tmp_path / "d.afro"
+        write_dataset([generate_trajectory(cfg, 5)], path, config=cfg, seed=5)
+        before = path.read_bytes(), (tmp_path / "d.afro.meta.json").read_bytes()
+
+        class FailingTrajectory:
+            @property
+            def frames(self):
+                raise OSError("disk full")
+
+        # the header and the first trajectory are written before the failure
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset([generate_trajectory(cfg, 6), FailingTrajectory()], path)
+        assert (path.read_bytes(), (tmp_path / "d.afro.meta.json").read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.afro", "d.afro.meta.json"]
 
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(DataError):

@@ -14,7 +14,18 @@ from latentdyn.encoder import (
     pool,
     tokenize,
 )
-from latentdyn.numerics import NumericsError, RandomStream, Tensor, tsum
+from latentdyn.numerics import (
+    NumericsError,
+    RandomStream,
+    Tensor,
+    attention,
+    gelu,
+    layer_norm,
+    linear,
+    matmul,
+    tmax,
+    tsum,
+)
 
 
 @pytest.fixture
@@ -85,6 +96,31 @@ class TestEncode:
         single = encode_groups(params, feats).data
         batched = encode_groups(params, feats[None]).data[0]
         assert np.allclose(single, batched, atol=1e-6)
+
+    def test_matches_unfused_composition(self, params, cloud):
+        # the tokenizer's MLP, max-pool and mixing layer, with GELU and the
+        # max-pool as separate ops: same values and same parameter gradients
+        feats = np.stack([group_features(cloud, 4, 16)] * 2)
+        proj = Tensor(RandomStream.derive(6, "proj").normal((2, 4, 16), dtype=np.float32))
+
+        def unfused():
+            x = Tensor(feats.astype(np.float32))
+            h = gelu(linear(x, params["tok.fc1.w"], params["tok.fc1.b"]))
+            raw = tmax(gelu(linear(h, params["tok.fc2.w"], params["tok.fc2.b"])), axis=-2)
+            normed = layer_norm(raw)
+            q, k, v = (matmul(normed, params[f"mix.w{c}"]) for c in "qkv")
+            return raw + matmul(attention(q, k, v), params["mix.wo"])
+
+        results = []
+        for encode in (lambda: encode_groups(params, feats), unfused):
+            params.zero_grad()
+            out = encode()
+            tsum(out * proj).backward()
+            results.append((out.data, [t.grad.copy() for _, t in params.items()]))
+        (out, grads), (ref, ref_grads) = results
+        assert np.array_equal(out, ref)
+        for g, ref_g in zip(grads, ref_grads):
+            assert np.array_equal(g, ref_g)
 
     def test_source_tag_validation(self):
         with pytest.raises(NumericsError):

@@ -14,6 +14,7 @@ from latentdyn.numerics import (
     attention,
     concat,
     gelu,
+    gelu_max,
     grad_check,
     layer_norm,
     linear,
@@ -236,11 +237,83 @@ class TestGradientChecks:
         self._check({"x": (2, 5, 3)},
                     lambda p, r: tsum(mul(tmax(p["x"], axis=-2), r((2, 3)))))
 
+    def test_gelu_max_gradient(self):
+        self._check({"x": (2, 5, 3)},
+                    lambda p, r: tsum(mul(gelu_max(p["x"], axis=-2), r((2, 3)))))
+
     def test_grad_check_rejects_float32(self):
         params = ParamStore()
         params.add("x", Tensor(np.ones(3, dtype=np.float32), requires_grad=True))
         with pytest.raises(NumericsError):
             grad_check(lambda p: tsum(p["x"]), params)
+
+
+def _value_and_grad(pool, x: np.ndarray, proj: np.ndarray):
+    t = Tensor(x, requires_grad=True)
+    out = pool(t)
+    tsum(mul(out, Tensor(proj))).backward()
+    return out, t.grad
+
+
+def _unfused(t):
+    return tmax(gelu(t), axis=-2)
+
+
+def _fused(t):
+    return gelu_max(t, axis=-2)
+
+
+class TestGeluMax:
+    """gelu_max(a) is tmax(gelu(a)) with GELU evaluated at each group's
+    min and max only."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_unfused_on_standard_normals(self, stream, dtype):
+        x = stream.normal((32, 8, 32, 64), dtype=dtype)
+        proj = stream.normal((32, 8, 64), dtype=dtype)
+        out, grad = _value_and_grad(_fused, x, proj)
+        ref, ref_grad = _value_and_grad(_unfused, x, proj)
+        assert out.dtype == ref.dtype == dtype
+        assert np.array_equal(out.data, ref.data)
+        assert np.array_equal(grad, ref_grad)
+
+    def test_min_wins_on_all_negative_group(self):
+        # gelu(-3) ~ -0.004 beats gelu(-0.2) ~ -0.084: the min is the max of GELU
+        x = np.array([[-0.2], [-3.0], [-1.0]])
+        out, grad = _value_and_grad(_fused, x, np.ones(1))
+        at_min = Tensor(np.array([-3.0]), requires_grad=True)
+        tsum(gelu(at_min)).backward()
+        assert out.data[0] == gelu(Tensor(np.array([-3.0]))).data[0]
+        assert np.array_equal(grad, [[0.0], [at_min.grad[0]], [0.0]])
+
+    def test_ties_route_to_lowest_index(self):
+        x = np.array([[[1.0, -2.0], [2.0, -2.0], [2.0, 0.5], [0.5, 0.5]]])
+        _, grad = _value_and_grad(_fused, x, np.ones((1, 2)))
+        _, ref_grad = _value_and_grad(_unfused, x, np.ones((1, 2)))
+        assert np.array_equal(np.nonzero(grad[0])[0], [1, 2])  # rows of (2.0, col 0), (0.5, col 1)
+        assert np.array_equal(grad, ref_grad)
+
+    def test_float32_stays_float32(self, stream):
+        x = stream.normal((2, 5, 3), dtype=np.float32)
+        out, grad = _value_and_grad(_fused, x, stream.normal((2, 3), dtype=np.float32))
+        assert out.dtype == np.float32
+        assert grad.dtype == np.float32
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nonfinite_input_rejected(self, bad):
+        t = Tensor(np.zeros((2, 3, 2)))
+        t.data[1, 2, 0] = bad
+        with pytest.raises(NumericsError, match="gelu_max"):
+            gelu_max(t, axis=-2)
+
+    def test_far_negative_float32_close_to_unfused(self, stream):
+        # Below c the float32 rounding of 1 + erf makes GELU non-monotone by
+        # a few 1e-9, so an inner point can beat both ends by that much.
+        x = stream.normal((32, 8, 32, 64), dtype=np.float32) - np.float32(3.0)
+        fused = gelu_max(Tensor(x), axis=-2).data
+        unfused = _unfused(Tensor(x)).data
+        assert np.abs(fused - unfused).max() <= 1e-8
 
 
 class TestDeterminism:

@@ -180,6 +180,24 @@ class TestCheckpointFormat:
         save_checkpoint(state, tmp_path / "resaved.afck")
         assert final.read_bytes() == (tmp_path / "resaved.afck").read_bytes()
 
+    def test_failed_save_leaves_previous_file(self, dataset, tmp_path):
+        cfg = tiny_config(epochs=1)
+        final = train(cfg, dataset, tmp_path / "run")
+        before = final.read_bytes()
+        names = sorted(p.name for p in final.parent.iterdir())
+        state = load_checkpoint(final)
+
+        class FailingStream:
+            def state(self):
+                raise OSError("disk full")
+
+        state.step += 1  # a different header, so a partial write would show
+        state.shuffle_stream = FailingStream()  # raises after header and tensors
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, final)
+        assert final.read_bytes() == before
+        assert sorted(p.name for p in final.parent.iterdir()) == names
+
     def test_tensor_names_and_step_preserved(self, dataset, tmp_path):
         cfg = tiny_config(epochs=1)
         final = train(cfg, dataset, tmp_path / "run")
