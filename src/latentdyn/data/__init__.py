@@ -15,7 +15,6 @@ from .synthetic import (
     SceneConfig,
     Trajectory,
     generate_trajectory,
-    trajectories_equal,
     trajectory_seed,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "generate_trajectory",
     "preprocess_depth_sequence",
     "read_dataset",
-    "trajectories_equal",
     "trajectory_seed",
     "write_dataset",
 ]

@@ -8,7 +8,8 @@ Little-endian layout:
 A sidecar "<path>.meta.json" carries the generator config, the global
 seed, and the per-trajectory scene descriptors (not representable in the
 fixed binary layout). Both files are written through ``atomic_writer``, so
-a crash mid-write leaves the previous file in place.
+a crash mid-write leaves the previous file in place. Readers go through
+``read_exact``, which refuses any header size larger than the bytes left.
 """
 
 from __future__ import annotations
@@ -72,28 +73,41 @@ def write_dataset(trajs: list[Trajectory], path, config: SceneConfig | None = No
         f.write("\n")
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise DatasetFormatError(f"truncated dataset file while reading {what}")
-    return buf
+def read_exact(f, n: int, what: str, error: type[DataError], size: int) -> bytes:
+    """Exactly n bytes from f, a binary file of `size` bytes, or `error`.
+
+    n is checked against the bytes left before anything is read, so a
+    corrupt header size fails here instead of allocating its buffer.
+    """
+    left = size - f.tell()
+    if n > left:
+        raise error(f"truncated file: {what} needs {n} bytes, {left} left")
+    return f.read(n)
 
 
 def read_dataset(path) -> list[Trajectory]:
     path = Path(path)
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n, what):
+            return read_exact(f, n, what, DatasetFormatError, size)
+
+        magic = read(4, "magic")
         if magic != MAGIC:
             raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version, n_traj = struct.unpack("<II", _read_exact(f, 8, "header"))
+        version, n_traj = struct.unpack("<II", read(8, "header"))
         if version != VERSION:
             raise DatasetFormatError(f"unsupported dataset version {version}, reader supports {VERSION}")
         trajs = []
         for i in range(n_traj):
             length, n_points, action_dim, traj_seed = struct.unpack(
-                "<IIIQ", _read_exact(f, 20, f"trajectory {i} header"))
-            frames_bytes = _read_exact(f, length * n_points * 3 * 4, f"trajectory {i} frames")
-            actions_bytes = _read_exact(f, (length - 1) * action_dim * 4, f"trajectory {i} actions")
+                "<IIIQ", read(20, f"trajectory {i} header"))
+            if length < 1 or n_points < 1:
+                raise DatasetFormatError(
+                    f"trajectory {i} header has {length} frames of {n_points} points")
+            frames_bytes = read(length * n_points * 3 * 4, f"trajectory {i} frames")
+            actions_bytes = read((length - 1) * action_dim * 4, f"trajectory {i} actions")
             frames = np.frombuffer(frames_bytes, dtype="<f4").reshape(length, n_points, 3)
             actions = np.frombuffer(actions_bytes, dtype="<f4").reshape(length - 1, action_dim)
             trajs.append(Trajectory(

@@ -80,18 +80,6 @@ class Trajectory:
         return self.frames[0].n
 
 
-def trajectories_equal(a: Trajectory, b: Trajectory) -> bool:
-    """Bit-exact comparison of frames, actions and seed."""
-    if a.length != b.length or a.seed != b.seed:
-        return False
-    if a.actions.dtype != b.actions.dtype or not np.array_equal(a.actions, b.actions):
-        return False
-    for fa, fb in zip(a.frames, b.frames):
-        if fa.points.dtype != fb.points.dtype or not np.array_equal(fa.points, fb.points):
-            return False
-    return True
-
-
 def _box_face_areas(size: np.ndarray) -> np.ndarray:
     sx, sy, sz = size
     return np.array([sy * sz, sy * sz, sx * sz, sx * sz, sx * sy, sx * sy])

@@ -1,5 +1,10 @@
 """Latent-action inverse dynamics and the diffusion forward dynamics model.
 
+Features and latent actions are plain Tensors: (..., M, D) tokens from
+`encoder.encode_groups` and (..., action_dim) actions. `branch_predict`
+decides which encoder's tokens feed which input and which direction the
+action explains.
+
 The IDM is a 3-layer GELU MLP over pooled feature differences (or raw
 concatenated pairs under the leakage ablation). The FDM is a 4-block DiT:
 conditioning from [pooled current feature | latent action | timestep
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data.geometry import PointCloud
-from .encoder import FeatureTokens, encode_groups, group_features, init_encoder_params, pool
+from .encoder import group_features, init_encoder_params, pool
 from .numerics import (
     NumericsError,
     ParamStore,
@@ -38,16 +43,8 @@ from .numerics import (
 DIRECTIONS = ("forward", "backward")
 IDM_INPUT_MODES = ("diff", "concat")
 SINUSOID_DIM = 32  # width of the timestep embedding fed to the cond.t MLP
-
-
-@dataclass
-class LatentAction:
-    vector: Tensor  # (..., action_dim)
-    direction: str
-
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise NumericsError(f"unknown action direction {self.direction!r}")
+SCHEDULE_OFFSET = 0.008  # cosine-schedule offset s (Nichol & Dhariwal 2021)
+ABAR_FLOOR = 1e-4  # lower clamp on abar; NoiseSchedule needs every abar > 0
 
 
 @dataclass
@@ -69,32 +66,29 @@ class NoiseSchedule:
             raise NumericsError("abar must be strictly decreasing after index 0")
 
 
-def make_noise_schedule(steps: int, offset: float = 0.008,
-                        floor: float = 1e-4) -> NoiseSchedule:
-    """Cosine abar schedule, clamped below at `floor`, abar[0] pinned to 1."""
+def make_noise_schedule(steps: int) -> NoiseSchedule:
+    """Cosine abar schedule, clamped below at ABAR_FLOOR, abar[0] pinned to 1."""
     if steps < 1:
         raise NumericsError(f"schedule needs at least 1 step, got {steps}")
     tau = np.arange(steps + 1, dtype=np.float64)
-    f = np.cos((tau / steps + offset) / (1.0 + offset) * (math.pi / 2.0)) ** 2
-    abar = np.clip(f / f[0], floor, 1.0)
+    f = np.cos((tau / steps + SCHEDULE_OFFSET) / (1.0 + SCHEDULE_OFFSET) * (math.pi / 2.0)) ** 2
+    abar = np.clip(f / f[0], ABAR_FLOOR, 1.0)
     abar[0] = 1.0
     return NoiseSchedule(steps=steps, abar=abar)
 
 
-def noise_feature(z_target: FeatureTokens, tau, eps: np.ndarray,
-                  sched: NoiseSchedule) -> FeatureTokens:
+def noise_feature(tokens: Tensor, tau, eps: np.ndarray, sched: NoiseSchedule) -> Tensor:
     """z^(tau) = sqrt(abar)*z + sqrt(1-abar)*eps.
 
     tau may be a scalar step or one step per leading batch element. The
     abar=1 case returns the input tokens exactly (no float round-trip).
     """
-    tokens = z_target.tokens
     if np.isscalar(tau) or np.ndim(tau) == 0:
         tau = int(tau)
         if not 0 <= tau <= sched.steps:
             raise NumericsError(f"tau {tau} outside schedule range [0, {sched.steps}]")
         if sched.abar[tau] == 1.0:
-            return FeatureTokens(tokens, source=z_target.source)
+            return tokens
         a = sched.abar[tau]
         coeff_signal, coeff_noise = math.sqrt(a), math.sqrt(1.0 - a)
     else:
@@ -106,7 +100,7 @@ def noise_feature(z_target: FeatureTokens, tau, eps: np.ndarray,
     if np.shape(eps) != tokens.shape:
         raise NumericsError(f"noise shape {np.shape(eps)} != tokens shape {tokens.shape}")
     noise_term = np.asarray(coeff_noise * eps, dtype=str(tokens.dtype))
-    return FeatureTokens(mul(tokens, coeff_signal) + noise_term, source=z_target.source)
+    return mul(tokens, coeff_signal) + noise_term
 
 
 # -- inverse dynamics ------------------------------------------------------
@@ -129,8 +123,8 @@ def idm_forward(params: ParamStore, x: Tensor) -> Tensor:
     return linear(h, params["fc3.w"], params["fc3.b"])
 
 
-def infer_latent_action(params: ParamStore, z_a: FeatureTokens, z_b: FeatureTokens,
-                        direction: str, input_mode: str = "diff") -> LatentAction:
+def infer_latent_action(params: ParamStore, z_a: Tensor, z_b: Tensor,
+                        direction: str, input_mode: str = "diff") -> Tensor:
     """Latent action for the temporally ordered pair (z_a, z_b) = (t, t+k).
 
     forward explains t -> t+k from pool(z_b) - pool(z_a); backward explains
@@ -142,26 +136,25 @@ def infer_latent_action(params: ParamStore, z_a: FeatureTokens, z_b: FeatureToke
         raise NumericsError(f"unknown direction {direction!r}")
     if input_mode not in IDM_INPUT_MODES:
         raise NumericsError(f"unknown idm input mode {input_mode!r}")
-    if z_a.tokens.shape != z_b.tokens.shape:
-        raise NumericsError(
-            f"feature shape mismatch: {z_a.tokens.shape} vs {z_b.tokens.shape}")
-    pa, pb = pool(z_a.tokens), pool(z_b.tokens)
+    if z_a.shape != z_b.shape:
+        raise NumericsError(f"feature shape mismatch: {z_a.shape} vs {z_b.shape}")
+    pa, pb = pool(z_a), pool(z_b)
     if input_mode == "diff":
         inp = sub(pb, pa) if direction == "forward" else sub(pa, pb)
     else:
         inp = concat([pa, pb], axis=-1) if direction == "forward" else concat([pb, pa], axis=-1)
-    return LatentAction(idm_forward(params, inp), direction=direction)
+    return idm_forward(params, inp)
 
 
 # -- conditioning and DiT blocks -------------------------------------------
 
-def sinusoidal_embedding(tau, dim: int = SINUSOID_DIM) -> np.ndarray:
-    """Interleaved [sin(t*f_i), cos(t*f_i)] with f_i = 10000^(-2i/dim)."""
+def sinusoidal_embedding(tau) -> np.ndarray:
+    """Interleaved [sin(t*f_i), cos(t*f_i)] with f_i = 10000^(-2i/SINUSOID_DIM)."""
     tau = np.asarray(tau, dtype=np.float64)
-    half = dim // 2
-    freqs = 10000.0 ** (-2.0 * np.arange(half) / dim)
+    half = SINUSOID_DIM // 2
+    freqs = 10000.0 ** (-2.0 * np.arange(half) / SINUSOID_DIM)
     angles = tau[..., None] * freqs
-    emb = np.empty(tau.shape + (dim,))
+    emb = np.empty(tau.shape + (SINUSOID_DIM,))
     emb[..., 0::2] = np.sin(angles)
     emb[..., 1::2] = np.cos(angles)
     return emb
@@ -247,20 +240,18 @@ def fdm_block(params: ParamStore, index: int, x: Tensor, c: Tensor) -> Tensor:
     return x + _gate(params, f"{pre}.gate2", c, d) * ffn
 
 
-def fdm_denoise(params: ParamStore, z_noisy: FeatureTokens, z_cond: FeatureTokens,
-                action: LatentAction, tau, sched: NoiseSchedule,
-                n_blocks: int = 4) -> FeatureTokens:
+def fdm_denoise(params: ParamStore, z_noisy: Tensor, z_cond: Tensor, action: Tensor,
+                tau, sched: NoiseSchedule, n_blocks: int = 4) -> Tensor:
     """Single-pass denoise of the noisy tokens under (z_cond, action, tau)."""
     taus = np.asarray(tau)
     if np.any(taus < 0) or np.any(taus > sched.steps):
         raise NumericsError(f"tau outside schedule range [0, {sched.steps}]")
-    cond = condition_vector(params, pool(z_cond.tokens), action.vector, tau)
-    x = z_noisy.tokens
+    cond = condition_vector(params, pool(z_cond), action, tau)
+    x = z_noisy
     for i in range(n_blocks):
         x = fdm_block(params, i, x, cond)
     y = adaln(x, cond, params["final.adaln.w"], params["final.adaln.b"])
-    out = linear(y, params["final.proj.w"], params["final.proj.b"])
-    return FeatureTokens(out, source="predicted")
+    return linear(y, params["final.proj.w"], params["final.proj.b"])
 
 
 # -- model bundle and the two prediction branches ---------------------------
@@ -297,7 +288,8 @@ class Models:
 
     `tokenize` is the one way frames become encoder input: it depends only
     on the clouds, so callers tokenize each frame once and pass the grouped
-    (B, M, g, 6) array to `encode_online`, `encode_target` or both.
+    (B, M, g, 6) array to `encode_groups` with the online store, the
+    target store or both.
     """
 
     config: ModelConfig
@@ -314,12 +306,6 @@ class Models:
         """Clouds -> (B, M, g, 6) grouped features at the config's token shape."""
         return np.stack([group_features(c, self.config.tokens, self.config.group_size)
                          for c in clouds])
-
-    def encode_online(self, feats: np.ndarray) -> FeatureTokens:
-        return FeatureTokens(encode_groups(self.online, feats), source="student")
-
-    def encode_target(self, feats: np.ndarray) -> FeatureTokens:
-        return FeatureTokens(encode_groups(self.target, feats), source="teacher")
 
     def trainables(self) -> ParamStore:
         """One store of shared references so backward/optimizer see every
@@ -342,9 +328,8 @@ def init_models(cfg: ModelConfig, seed: int, dtype=np.float32) -> Models:
     return Models(config=cfg, online=online, target=target, idm=idm, fdm=fdm)
 
 
-def branch_predict(models: Models, z_t: FeatureTokens, z_tk: FeatureTokens,
-                   z_teacher: FeatureTokens, tau, eps: np.ndarray,
-                   direction: str) -> tuple[FeatureTokens, FeatureTokens]:
+def branch_predict(models: Models, z_t: Tensor, z_tk: Tensor, z_teacher: Tensor, tau,
+                   eps: np.ndarray, direction: str) -> Tensor:
     """One prediction branch over already-encoded features.
 
     forward: condition on z_t, denoise toward the teacher's t+k feature.
@@ -355,27 +340,5 @@ def branch_predict(models: Models, z_t: FeatureTokens, z_tk: FeatureTokens,
     action = infer_latent_action(models.idm, z_t, z_tk, direction, cfg.idm_input)
     z_cond = z_t if direction == "forward" else z_tk
     z_noisy = noise_feature(z_teacher, tau, eps, models.sched)
-    pred = fdm_denoise(models.fdm, z_noisy, z_cond, action, tau, models.sched,
+    return fdm_denoise(models.fdm, z_noisy, z_cond, action, tau, models.sched,
                        n_blocks=cfg.n_blocks)
-    return pred, z_teacher
-
-
-def predict_future(models: Models, clouds_t: list[PointCloud], clouds_tk: list[PointCloud],
-                   tau, eps: np.ndarray) -> tuple[FeatureTokens, FeatureTokens]:
-    """(pred, teacher) for the t -> t+k transition."""
-    feats_tk = models.tokenize(clouds_tk)
-    z_t = models.encode_online(models.tokenize(clouds_t))
-    z_tk = models.encode_online(feats_tk)
-    z_teacher = models.encode_target(feats_tk)
-    return branch_predict(models, z_t, z_tk, z_teacher, tau, eps, "forward")
-
-
-def predict_history(models: Models, clouds_t: list[PointCloud], clouds_tk: list[PointCloud],
-                    tau, eps: np.ndarray) -> tuple[FeatureTokens, FeatureTokens]:
-    """(pred, teacher) for the t+k -> t transition; bitwise the same
-    computation as predict_future on the swapped pair."""
-    feats_t = models.tokenize(clouds_t)
-    z_t = models.encode_online(feats_t)
-    z_tk = models.encode_online(models.tokenize(clouds_tk))
-    z_teacher = models.encode_target(feats_t)
-    return branch_predict(models, z_t, z_tk, z_teacher, tau, eps, "backward")

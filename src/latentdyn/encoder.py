@@ -1,17 +1,17 @@
 """Point-cloud tokenizer, online encoder, and the EMA target encoder.
 
-The tokenizer picks M group centers by farthest-point sampling and gathers
-the group_size nearest neighbors of each center; grouped points enter the
-shared MLP as [relative xyz | center xyz] so pooled features keep absolute
-position (without it, pooled differences could not encode motion). A
-per-group max-pool and one single-head attention mixing layer produce the
-M x D feature tokens.
+`group_features` picks M group centers by farthest-point sampling and
+gathers the group_size nearest neighbors of each center; grouped points
+enter the shared MLP as [relative xyz | center xyz] so pooled features keep
+absolute position (without it, pooled differences could not encode motion).
+A per-group max-pool and one single-head attention mixing layer produce the
+(..., M, D) token Tensor; the online and target encoders are the same
+function over different parameter stores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +31,11 @@ from .numerics import (
 )
 
 
-@dataclass
-class FeatureTokens:
-    """(..., M, D) token matrix with a provenance tag."""
+def group_features(cloud: PointCloud, m_tokens: int, group_size: int) -> np.ndarray:
+    """(M, group_size, 6) per-point features: [relative xyz | center xyz].
 
-    tokens: Tensor
-    source: str  # "student" | "teacher" | "predicted"
-
-    def __post_init__(self):
-        if self.source not in ("student", "teacher", "predicted"):
-            raise NumericsError(f"unknown feature source {self.source!r}")
-
-
-def tokenize(cloud: PointCloud, m_tokens: int, group_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group a cloud into (groups, centers).
-
-    groups is (M, group_size, 3) with coordinates relative to the group
-    center; centers is (M, 3). Neighbor ties are broken by lowest point
-    index so the grouping is deterministic.
+    Centers come from FPS starting at point 0; neighbor ties are broken by
+    lowest point index so the grouping is deterministic.
     """
     pts = cloud.points
     if m_tokens > cloud.n:
@@ -60,12 +47,6 @@ def tokenize(cloud: PointCloud, m_tokens: int, group_size: int) -> tuple[np.ndar
     d2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
     neighbor_idx = np.argsort(d2, axis=1, kind="stable")[:, :group_size]
     groups = pts[neighbor_idx] - centers[:, None, :]
-    return groups, centers
-
-
-def group_features(cloud: PointCloud, m_tokens: int, group_size: int) -> np.ndarray:
-    """(M, group_size, 6) per-point features: [relative xyz | center xyz]."""
-    groups, centers = tokenize(cloud, m_tokens, group_size)
     centers_rep = np.broadcast_to(centers[:, None, :], groups.shape)
     return np.concatenate([groups, centers_rep], axis=2)
 

@@ -12,13 +12,17 @@ import numpy as np
 from .data.geometry import DataError
 from .data.synthetic import Trajectory
 from .dynamics import Models, idm_forward
-from .encoder import pool
+from .encoder import encode_groups, pool
 from .numerics import RandomStream, Tensor
 from .trainer import TrainState
 
+_RIDGE = 1e-6  # fallback ridge for rank-deficient probe designs
+_TRAIN_FRAC = 0.8  # share of probe pairs in the fit split
+_SHUFFLE_SEED = 1  # seed of the shuffled-action control probe
+_ENCODE_CHUNK = 64  # frames per encoder call when pooling features
 
-def _fit_ols(x_train: np.ndarray, y_train: np.ndarray,
-             ridge: float = 1e-6) -> tuple[np.ndarray, np.ndarray, bool]:
+
+def _fit_ols(x_train: np.ndarray, y_train: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Least squares with intercept via normal equations on centered data.
 
     Returns (coef, intercept, used_ridge); the ridge fallback handles
@@ -38,13 +42,12 @@ def _fit_ols(x_train: np.ndarray, y_train: np.ndarray,
             raise np.linalg.LinAlgError("non-finite solution")
     except np.linalg.LinAlgError:
         used_ridge = True
-        coef = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
+        coef = np.linalg.solve(gram + _RIDGE * np.eye(gram.shape[0]), rhs)
     intercept = y_mean - x_mean @ coef
     return coef, intercept, used_ridge
 
 
-def linear_probe(alphas: np.ndarray, actions: np.ndarray, split_seed: int = 0,
-                 train_frac: float = 0.8) -> dict:
+def linear_probe(alphas: np.ndarray, actions: np.ndarray, split_seed: int = 0) -> dict:
     """Held-out R^2 of an OLS map from latent actions to ground-truth
     actions (per action dimension, averaged). 80/20 split by a seeded
     permutation."""
@@ -57,7 +60,7 @@ def linear_probe(alphas: np.ndarray, actions: np.ndarray, split_seed: int = 0,
         raise DataError("alphas and actions disagree on sample count")
 
     perm = RandomStream.derive(split_seed, "probe-split").permutation(n)
-    n_train = int(round(n * train_frac))
+    n_train = int(round(n * _TRAIN_FRAC))
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     coef, intercept, used_ridge = _fit_ols(alphas[train_idx], actions[train_idx])
     pred = alphas[test_idx] @ coef + intercept
@@ -110,17 +113,17 @@ def pca_embed(features: np.ndarray, n_components: int = 2) -> tuple[np.ndarray, 
     return centered @ comps, evr
 
 
-def _pooled_features(models: Models, trajs: list[Trajectory], stores: tuple[str, ...],
-                     chunk: int = 64) -> dict[str, list[np.ndarray]]:
+def _pooled_features(models: Models, trajs: list[Trajectory],
+                     stores: tuple[str, ...]) -> dict[str, list[np.ndarray]]:
     """Per-trajectory (L, D) pooled features from each named encoder
     ("online", "target"); each frame is tokenized once for all of them."""
-    encoders = {"online": models.encode_online, "target": models.encode_target}
     out: dict[str, list[np.ndarray]] = {store: [] for store in stores}
     for traj in trajs:
         feats = models.tokenize(traj.frames)
         for store in stores:
-            rows = [pool(encoders[store](feats[start:start + chunk]).tokens).data
-                    for start in range(0, traj.length, chunk)]
+            params = getattr(models, store)
+            rows = [pool(encode_groups(params, feats[start:start + _ENCODE_CHUNK])).data
+                    for start in range(0, traj.length, _ENCODE_CHUNK)]
             out[store].append(np.concatenate(rows, axis=0))
     return out
 
@@ -150,7 +153,7 @@ def _probe_pairs(models: Models, trajs: list[Trajectory], k: int,
     return np.concatenate(alpha_rows, axis=0), np.concatenate(action_rows, axis=0)
 
 
-def run_probe(state: TrainState, dataset: list[Trajectory], shuffle_seed: int = 1) -> dict:
+def run_probe(state: TrainState, dataset: list[Trajectory]) -> dict:
     """Full probe report: decodability R^2, shuffled control, collapse
     stats of pooled teacher features over every frame."""
     if not dataset:
@@ -161,7 +164,8 @@ def run_probe(state: TrainState, dataset: list[Trajectory], shuffle_seed: int = 
     alphas, actions = _probe_pairs(models, dataset, k, pooled["online"])
 
     probe = linear_probe(alphas, actions, split_seed=state.config.seed)
-    shuffled = actions[RandomStream.derive(shuffle_seed, "probe-shuffle").permutation(len(actions))]
+    shuffle = RandomStream.derive(_SHUFFLE_SEED, "probe-shuffle").permutation(len(actions))
+    shuffled = actions[shuffle]
     probe_shuffled = linear_probe(alphas, shuffled, split_seed=state.config.seed)
 
     collapse = collapse_metrics(np.concatenate(pooled["target"], axis=0))

@@ -16,8 +16,10 @@ from .params import ParamStore
 from .tensor import NumericsError, Tensor
 
 
-def grad_check(closure: Callable[[ParamStore], Tensor], point: ParamStore,
-               h: float = 1e-5) -> float:
+FD_STEP = 1e-5  # central-difference step h
+
+
+def grad_check(closure: Callable[[ParamStore], Tensor], point: ParamStore) -> float:
     """Max over coordinates of the relative analytic-vs-central-difference
     error, |a - cd| / (|a| + |cd| + 1e-12). 64-bit only."""
     for name, t in point.items():
@@ -40,12 +42,12 @@ def grad_check(closure: Callable[[ParamStore], Tensor], point: ParamStore,
         a_flat = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             f_plus = closure(point).item()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             f_minus = closure(point).item()
             flat[i] = orig
-            cd = (f_plus - f_minus) / (2.0 * h)
+            cd = (f_plus - f_minus) / (2.0 * FD_STEP)
             a = a_flat[i]
             rel = abs(a - cd) / (abs(a) + abs(cd) + 1e-12)
             if rel > worst:

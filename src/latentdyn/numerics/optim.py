@@ -33,18 +33,18 @@ class OptState:
         return state
 
 
-def adamw_step(params: ParamStore, opt: OptState, grads: dict[str, np.ndarray] | None = None) -> None:
+def adamw_step(params: ParamStore, opt: OptState) -> None:
     """One bias-corrected Adam update with decoupled weight decay.
 
-    grads defaults to the .grad buffers left by backward(); parameters with
-    no gradient this step are treated as zero-gradient (moments still decay).
+    Reads the .grad buffers left by backward(); parameters with no gradient
+    this step are treated as zero-gradient (moments still decay).
     """
     opt.step += 1
     t = opt.step
     bc1 = 1.0 - opt.beta1 ** t
     bc2 = 1.0 - opt.beta2 ** t
     for name, p in params.items():
-        g = grads.get(name) if grads is not None else p.grad
+        g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         elif not np.all(np.isfinite(g)):

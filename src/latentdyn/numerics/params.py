@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .tensor import NumericsError, Tensor
 
 
@@ -51,6 +49,3 @@ class ParamStore:
         for name, t in self._params.items():
             out.add(name, Tensor(t.data.astype(dtype), requires_grad=t.requires_grad))
         return out
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([t.data.reshape(-1) for t in self._params.values()])

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.special import erf as _erf
 
 _INV_SQRT2 = 0.7071067811865476
-_TWO_OVER_SQRT_PI = 1.1283791670955126
 _INV_SQRT2PI = 0.3989422804014327
+_LN_EPS = 1e-5  # layer_norm's variance floor
 
 
 class NumericsError(ValueError):
@@ -67,9 +67,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
@@ -388,15 +385,6 @@ def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 # -- elementwise unary ops -------------------------------------------------
 
-def texp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def vjp(g):
-        return (g * data,)
-
-    return _result(data, (a,), vjp, "exp")
-
-
 def tsqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
 
@@ -404,15 +392,6 @@ def tsqrt(a: Tensor) -> Tensor:
         return (g * (0.5 / data),)
 
     return _result(data, (a,), vjp, "sqrt")
-
-
-def terf(a: Tensor) -> Tensor:
-    data = _erf(a.data).astype(a.dtype)
-
-    def vjp(g):
-        return ((g * _TWO_OVER_SQRT_PI * np.exp(-a.data * a.data)).astype(a.dtype),)
-
-    return _result(data, (a,), vjp, "erf")
 
 
 def square(a: Tensor) -> Tensor:
@@ -427,19 +406,14 @@ def square(a: Tensor) -> Tensor:
 # -- neural building blocks -------------------------------------------------
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y = x @ W (+ b). W is (in, out); x is (..., in)."""
+    """y = x @ W (+ b). W is (in, out); x is (..., in) with at least one batch axis."""
     if x.shape[-1] != weight.shape[0]:
         raise NumericsError(
             f"linear input dim {x.shape[-1]} does not match weight input dim {weight.shape[0]}"
         )
-    was_vector = x.ndim == 1
-    if was_vector:
-        x = reshape(x, (1, x.shape[0]))
     y = matmul(x, weight)
     if bias is not None:
         y = add(y, bias)
-    if was_vector:
-        y = reshape(y, (y.shape[-1],))
     return y
 
 
@@ -504,14 +478,14 @@ def gelu_max(a: Tensor, axis: int = -2) -> Tensor:
     return _result(data, (a,), vjp, "gelu_max")
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last dim; constant rows map to zero via eps."""
+def layer_norm(x: Tensor) -> Tensor:
+    """Normalize over the last dim; constant rows map to zero via _LN_EPS."""
     if x.ndim < 1 or x.shape[-1] < 1:
         raise NumericsError("layer_norm needs a non-empty last dimension")
     m = tmean(x, axis=-1, keepdims=True)
     d = sub(x, m)
     v = tmean(square(d), axis=-1, keepdims=True)
-    return div(d, tsqrt(add(v, eps)))
+    return div(d, tsqrt(add(v, _LN_EPS)))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

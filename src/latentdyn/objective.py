@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Models, branch_predict
-from .encoder import FeatureTokens, pool
+from .encoder import encode_groups, pool
 from .numerics import (
     NumericsError,
     Tensor,
@@ -97,17 +97,17 @@ def mse_only_loss(pred: Tensor, target: Tensor) -> Tensor:
     return tmean(square(sub(pred, target)))
 
 
-def _branch_terms(pred: FeatureTokens, teacher: FeatureTokens, w: VicregWeights,
+def _branch_terms(pred: Tensor, teacher: Tensor, w: VicregWeights,
                   objective: str, token_level_inv: bool) -> dict[str, Tensor]:
-    pred_pooled = pool(pred.tokens)
-    teach_pooled = pool(teacher.tokens)
+    pred_pooled = pool(pred)
+    teach_pooled = pool(teacher)
     if objective == "mse":
         inv = mse_only_loss(pred_pooled, teach_pooled)
         zero = Tensor(np.zeros((), dtype=str(inv.dtype)))
         return {"inv": inv, "var": zero, "cov": zero, "total": inv}
     terms = vicreg(pred_pooled, teach_pooled, w)
     if token_level_inv:
-        inv = tmean(square(sub(pred.tokens, teacher.tokens)))
+        inv = tmean(square(sub(pred, teacher)))
         terms["total"] = terms["total"] + w.invariance * (inv - terms["inv"])
         terms["inv"] = inv
     return terms
@@ -129,21 +129,20 @@ def bidirectional_loss(models: Models, feats_t: np.ndarray, feats_tk: np.ndarray
         raise NumericsError(f"unknown objective {objective!r}")
     if len(feats_t) < 2:
         raise NumericsError("bidirectional loss needs batch size >= 2")
-    z_t = models.encode_online(feats_t)
-    z_tk = models.encode_online(feats_tk)
-    teacher_tk = models.encode_target(feats_tk)
+    z_t = encode_groups(models.online, feats_t)
+    z_tk = encode_groups(models.online, feats_tk)
+    teacher_tk = encode_groups(models.target, feats_tk)
 
-    pred_f, teach_f = branch_predict(models, z_t, z_tk, teacher_tk, taus, eps_future, "forward")
-    terms_f = _branch_terms(pred_f, teach_f, w, objective, token_level_inv)
+    pred_f = branch_predict(models, z_t, z_tk, teacher_tk, taus, eps_future, "forward")
+    terms_f = _branch_terms(pred_f, teacher_tk, w, objective, token_level_inv)
 
     if no_history:
         zero = Tensor(np.zeros((), dtype=str(terms_f["total"].dtype)))
         terms_h = {"inv": zero, "var": zero, "cov": zero, "total": zero}
     else:
-        teacher_t = models.encode_target(feats_t)
-        pred_h, teach_h = branch_predict(models, z_t, z_tk, teacher_t, taus, eps_history,
-                                         "backward")
-        terms_h = _branch_terms(pred_h, teach_h, w, objective, token_level_inv)
+        teacher_t = encode_groups(models.target, feats_t)
+        pred_h = branch_predict(models, z_t, z_tk, teacher_t, taus, eps_history, "backward")
+        terms_h = _branch_terms(pred_h, teacher_t, w, objective, token_level_inv)
 
     total = terms_f["total"] + terms_h["total"]
     breakdown = LossBreakdown(

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .data.geometry import DataError
-from .data.io import atomic_writer
+from .data.io import atomic_writer, read_exact
 from .data.synthetic import Trajectory
 from .dynamics import ModelConfig, Models, init_models
 from .encoder import ema_update, momentum_schedule
@@ -251,7 +253,7 @@ def train(cfg: TrainConfig, dataset: list[Trajectory], out_dir,
                 try:
                     record = training_step(state, feats_t, feats_tk, epoch=epoch)
                 except NumericsError as err:
-                    _dump_diagnostics(state, out_dir, epoch, err)
+                    _dump_diagnostics(state, out_dir, epoch, batch, err)
                     raise
                 metrics.write(record.to_json() + "\n")
             if (epoch + 1) % cfg.checkpoint_every == 0 and (epoch + 1) < cfg.epochs:
@@ -261,11 +263,15 @@ def train(cfg: TrainConfig, dataset: list[Trajectory], out_dir,
     return final_path
 
 
-def _dump_diagnostics(state: TrainState, out_dir: Path, epoch: int, err: Exception) -> None:
+def _dump_diagnostics(state: TrainState, out_dir: Path, epoch: int,
+                      batch: list[tuple[int, int]], err: Exception) -> None:
+    """diagnostics.json for a failed step: the error (it names the op), the
+    step's number as metrics.jsonl counts it, and its (traj, t) pairs."""
     diag = {
         "error": str(err),
         "epoch": epoch,
-        "step": state.step,
+        "step": state.step + 1,
+        "batch": batch,
         "param_norms": {name: float(np.linalg.norm(t.data))
                         for name, t in state.trainable.items()},
     }
@@ -312,40 +318,39 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 class CheckpointFormatError(DataError):
-    """Bad magic, unsupported version, or truncated checkpoint."""
-
-
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointFormatError(f"truncated checkpoint while reading {what}")
-    return buf
+    """Bad magic, unsupported version, truncated payload, or tensors that do
+    not fit the config's model."""
 
 
 def load_checkpoint(path) -> TrainState:
     path = Path(path)
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != CKPT_MAGIC:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n, what):
+            return read_exact(f, n, what, CheckpointFormatError, size)
+
+        if read(4, "magic") != CKPT_MAGIC:
             raise CheckpointFormatError(f"bad checkpoint magic in {path}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != CKPT_VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        (step,) = struct.unpack("<Q", _read_exact(f, 8, "step"))
-        (tensor_count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
+        (step,) = struct.unpack("<Q", read(8, "step"))
+        (tensor_count,) = struct.unpack("<I", read(4, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         order: list[str] = []
         for i in range(tensor_count):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, f"tensor {i} name length"))
-            name = _read_exact(f, name_len, f"tensor {i} name").decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read_exact(f, 4, f"{name} ndim"))
-            dims = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, f"{name} dims"))
-            count = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(_read_exact(f, 4 * count, f"{name} data"), dtype="<f4")
-            tensors[name] = data.reshape(dims).copy()
+            (name_len,) = struct.unpack("<H", read(2, f"tensor {i} name length"))
+            name = read(name_len, f"tensor {i} name").decode("utf-8")
+            (ndim,) = struct.unpack("<I", read(4, f"{name} ndim"))
+            dims = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"{name} dims"))
+            count = math.prod(dims)
+            data = np.frombuffer(read(4 * count, f"{name} data"), dtype="<f4")
+            tensors[name] = data.reshape(dims)
             order.append(name)
-        rng = struct.unpack("<4Q", _read_exact(f, 32, "rng state"))
-        (config_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
-        config_json = _read_exact(f, config_len, "config echo").decode("utf-8")
+        rng = struct.unpack("<4Q", read(32, "rng state"))
+        (config_len,) = struct.unpack("<I", read(4, "config length"))
+        config_json = read(config_len, "config echo").decode("utf-8")
         if f.read(1):
             raise CheckpointFormatError("trailing bytes after checkpoint payload")
 
@@ -358,16 +363,14 @@ def load_checkpoint(path) -> TrainState:
 
     state = init_train_state(cfg)
     state.step = step
-    expected = [name for name, _ in _checkpoint_tensors(state)]
-    if order != expected:
+    destinations = _checkpoint_tensors(state)
+    if order != [name for name, _ in destinations]:
         raise CheckpointFormatError("checkpoint tensor names do not match the config's model")
-    for name, t in state.trainable.items():
-        t.data[...] = tensors[name].reshape(t.shape)
-    for name, t in state.models.target.items():
-        t.data[...] = tensors[f"tgt.{name}"].reshape(t.shape)
-    for name in state.trainable.names():
-        state.opt.m[name][...] = tensors[f"opt.m.{name}"].reshape(state.opt.m[name].shape)
-        state.opt.v[name][...] = tensors[f"opt.v.{name}"].reshape(state.opt.v[name].shape)
+    for name, dst in destinations:
+        if tensors[name].shape != dst.shape:
+            raise CheckpointFormatError(
+                f"{name} has shape {tensors[name].shape}, the config's model needs {dst.shape}")
+        dst[...] = tensors[name]
     state.opt.step = step
     state.shuffle_stream = RandomStream(rng[0], rng[1])
     state.noise_stream = RandomStream(rng[2], rng[3])

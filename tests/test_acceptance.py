@@ -16,23 +16,20 @@ from latentdyn.data import (
     SceneConfig,
     generate_trajectory,
     read_dataset,
-    trajectories_equal,
     trajectory_seed,
     write_dataset,
 )
 from latentdyn.dynamics import (
-    LatentAction,
     ModelConfig,
+    branch_predict,
     fdm_block,
     fdm_denoise,
     infer_latent_action,
     init_models,
     make_noise_schedule,
     noise_feature,
-    predict_future,
-    predict_history,
 )
-from latentdyn.encoder import FeatureTokens, ema_update, pool
+from latentdyn.encoder import ema_update, encode_groups, pool
 from latentdyn.evaluate import run_probe
 from latentdyn.numerics import RandomStream, Tensor, layer_norm
 from latentdyn.objective import VicregWeights, vicreg
@@ -112,17 +109,12 @@ class TestA2AdaLNZeroIdentity:
             nxt = fdm_block(models.fdm, i, out, c)
             identical = identical and np.array_equal(nxt.data, out.data)
             out = nxt
-        z_noisy = FeatureTokens(
-            Tensor(stream.normal((2, cfg.tokens, cfg.feat_dim), dtype=np.float32)),
-            "teacher")
-        z_cond = FeatureTokens(
-            Tensor(stream.normal((2, cfg.tokens, cfg.feat_dim), dtype=np.float32)),
-            "student")
-        alpha = LatentAction(
-            Tensor(stream.normal((2, cfg.action_dim), dtype=np.float32)), "forward")
+        z_noisy = Tensor(stream.normal((2, cfg.tokens, cfg.feat_dim), dtype=np.float32))
+        z_cond = Tensor(stream.normal((2, cfg.tokens, cfg.feat_dim), dtype=np.float32))
+        alpha = Tensor(stream.normal((2, cfg.action_dim), dtype=np.float32))
         denoised = fdm_denoise(models.fdm, z_noisy, z_cond, alpha, np.array([5, 50]),
                                models.sched, n_blocks=cfg.n_blocks)
-        err = np.abs(denoised.tokens.data - layer_norm(z_noisy.tokens).data).max()
+        err = np.abs(denoised.data - layer_norm(z_noisy).data).max()
         ok = identical and err <= 1e-6
         _report("A2", ok, f"4 blocks exactly identity: {identical}; "
                           f"|denoise - LN(noisy)| max = {err:.2e} <= 1e-6")
@@ -139,10 +131,9 @@ class TestA3NoisingStatistics:
         draws = 10_000
         tau = 37
         stream = RandomStream.derive(2, "a3")
-        z = FeatureTokens(Tensor(np.zeros((draws, cfg.tokens, cfg.feat_dim),
-                                          dtype=np.float32)), "teacher")
+        z = Tensor(np.zeros((draws, cfg.tokens, cfg.feat_dim), dtype=np.float32))
         eps = stream.normal((draws, cfg.tokens, cfg.feat_dim), dtype=np.float32)
-        out = noise_feature(z, tau, eps, sched).tokens.data.reshape(-1)
+        out = noise_feature(z, tau, eps, sched).data.reshape(-1)
         n = out.size
         var_expected = 1.0 - sched.abar[tau]
         mean_band = 4.0 * np.sqrt(var_expected / n)
@@ -150,11 +141,10 @@ class TestA3NoisingStatistics:
         mean_ok = abs(out.mean()) <= mean_band
         var_ok = abs(out.var() - var_expected) <= var_band
 
-        z1 = FeatureTokens(Tensor(stream.normal((4, cfg.tokens, cfg.feat_dim),
-                                                dtype=np.float32)), "teacher")
+        z1 = Tensor(stream.normal((4, cfg.tokens, cfg.feat_dim), dtype=np.float32))
         eps1 = stream.normal((4, cfg.tokens, cfg.feat_dim), dtype=np.float32)
         ident = noise_feature(z1, 0, eps1, sched)
-        exact = np.array_equal(ident.tokens.data, z1.tokens.data)
+        exact = np.array_equal(ident.data, z1.data)
         ok = mean_ok and var_ok and exact
         _report("A3", ok,
                 f"mean {out.mean():+.2e} within {mean_band:.2e}; "
@@ -256,7 +246,7 @@ class TestA8DeterminismAndResume:
 
 
 class TestA9ExactInvariants:
-    def test_algebraic_identities(self, tmp_path):
+    def test_algebraic_identities(self, tmp_path, trajectories_equal):
         details = []
 
         # EMA endpoints
@@ -285,24 +275,24 @@ class TestA9ExactInvariants:
         cfg = ModelConfig(feat_dim=16, tokens=4, group_size=8, action_dim=6,
                           idm_hidden=16, cond_width=16, ffn_mult=2, diffusion_steps=20)
         models = init_models(cfg, 9)
-        a1 = infer_latent_action(models.idm, FeatureTokens(Tensor(za), "student"),
-                                 FeatureTokens(Tensor(zb), "student"), "forward")
-        a2 = infer_latent_action(models.idm, FeatureTokens(Tensor(za), "student"),
-                                 FeatureTokens(Tensor(zb), "student"), "forward")
-        diff_bitwise = np.array_equal(a1.vector.data, a2.vector.data)
+        a1 = infer_latent_action(models.idm, Tensor(za), Tensor(zb), "forward")
+        a2 = infer_latent_action(models.idm, Tensor(za), Tensor(zb), "forward")
+        diff_bitwise = np.array_equal(a1.data, a2.data)
         details.append(f"differencing shift-invariant {shift_exact}, "
                        f"bitwise reproducible {diff_bitwise}")
 
-        # predict_history(a, b) == predict_future(b, a), bitwise
+        # backward branch on (a, b) == forward branch on (b, a), bitwise
         scene = SceneConfig(n_points=96, length=8)
         traj = generate_trajectory(scene, 10)
         ct, ctk = [traj.frames[0], traj.frames[1]], [traj.frames[4], traj.frames[5]]
         taus = np.array([3, 15])
         eps = stream.normal((2, 4, 16), dtype=np.float32)
-        hp, ht = predict_history(models, ct, ctk, taus, eps)
-        fp, ft = predict_future(models, ctk, ct, taus, eps)
-        sym = (np.array_equal(hp.tokens.data, fp.tokens.data)
-               and np.array_equal(ht.tokens.data, ft.tokens.data))
+        feats_a, feats_b = models.tokenize(ct), models.tokenize(ctk)
+        z_a, z_b = encode_groups(models.online, feats_a), encode_groups(models.online, feats_b)
+        teacher_a = encode_groups(models.target, feats_a)
+        hp = branch_predict(models, z_a, z_b, teacher_a, taus, eps, "backward")
+        fp = branch_predict(models, z_b, z_a, teacher_a, taus, eps, "forward")
+        sym = np.array_equal(hp.data, fp.data)
         details.append(f"history==future-on-swapped-pair {sym}")
 
         # VICReg zero cases

@@ -1,12 +1,14 @@
 """CLI subcommands, config precedence, exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from latentdyn.cli import ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_OK, main, parse_config
 from latentdyn.data import read_dataset
+from latentdyn.trainer import TrainConfig, init_train_state, save_checkpoint
 
 
 TINY = {
@@ -106,6 +108,16 @@ class TestExitCodes:
     def test_missing_data_exit_4(self, tmp_path):
         code = main(["pretrain", "--data", str(tmp_path / "missing.afro"),
                      "--out", str(tmp_path / "run")])
+        assert code == EXIT_IO
+
+    def test_corrupt_dataset_header_exit_4(self, tmp_path):
+        ckpt = tmp_path / "init.afck"
+        save_checkpoint(init_train_state(TrainConfig()), ckpt)
+        bad = tmp_path / "bad.afro"
+        bad.write_bytes(b"AFRO" + struct.pack("<II", 1, 1)
+                        + struct.pack("<IIIQ", 0xFFFFFFFF, 0xFFFFFFFF, 2, 0) + bytes(64))
+        code = main(["probe", "--ckpt", str(ckpt), "--data", str(bad),
+                     "--report", str(tmp_path / "r.json")])
         assert code == EXIT_IO
 
 

@@ -1,6 +1,8 @@
 """Geometry ops against brute-force oracles, trajectory statistics, and
 dataset round-trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from latentdyn.data import (
     generate_trajectory,
     preprocess_depth_sequence,
     read_dataset,
-    trajectories_equal,
     trajectory_seed,
     write_dataset,
 )
@@ -250,13 +251,13 @@ class TestTrajectoryGeneration:
                 assert frame.points.dtype == ref.dtype
                 assert np.array_equal(frame.points, ref)
 
-    def test_determinism_bitwise(self):
+    def test_determinism_bitwise(self, trajectories_equal):
         cfg = SceneConfig(n_points=96, length=6)
         a = generate_trajectory(cfg, 42)
         b = generate_trajectory(cfg, 42)
         assert trajectories_equal(a, b)
 
-    def test_different_seeds_differ(self):
+    def test_different_seeds_differ(self, trajectories_equal):
         cfg = SceneConfig(n_points=96, length=6)
         assert not trajectories_equal(generate_trajectory(cfg, 1), generate_trajectory(cfg, 2))
 
@@ -358,7 +359,7 @@ class TestSubsample:
 
 
 class TestDatasetRoundTrip:
-    def test_roundtrip_bit_exact_many_configs(self, tmp_path):
+    def test_roundtrip_bit_exact_many_configs(self, tmp_path, trajectories_equal):
         stream = RandomStream.derive(31, "roundtrip")
         for case in range(50):
             n_pts = int(stream.integers(16, 64, 1)[0])
@@ -421,6 +422,18 @@ class TestDatasetRoundTrip:
             write_dataset([generate_trajectory(cfg, 6), FailingTrajectory()], path)
         assert (path.read_bytes(), (tmp_path / "d.afro.meta.json").read_bytes()) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.afro", "d.afro.meta.json"]
+
+    @pytest.mark.parametrize("length, n_points", [
+        (0xFFFFFFFF, 0xFFFFFFFF),  # the frame size overflows a C ssize_t
+        (2 ** 12, 2 ** 20),        # a 48 GiB frame buffer
+        (0, 64),                   # no frames, so -1 actions
+    ])
+    def test_corrupt_header_sizes_rejected(self, tmp_path, length, n_points):
+        path = tmp_path / "h.afro"
+        path.write_bytes(b"AFRO" + struct.pack("<II", 1, 1)
+                         + struct.pack("<IIIQ", length, n_points, 2, 0) + bytes(64))
+        with pytest.raises(DatasetFormatError):
+            read_dataset(path)
 
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(DataError):

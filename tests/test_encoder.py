@@ -5,14 +5,12 @@ import pytest
 
 from latentdyn.data import DataError, PointCloud, SceneConfig, generate_trajectory
 from latentdyn.encoder import (
-    FeatureTokens,
     ema_update,
     encode_groups,
     group_features,
     init_encoder_params,
     momentum_schedule,
     pool,
-    tokenize,
 )
 from latentdyn.numerics import (
     NumericsError,
@@ -37,6 +35,12 @@ def cloud():
 @pytest.fixture
 def params():
     return init_encoder_params(16, RandomStream.derive(4, "init"))
+
+
+def tokenize(cloud, m_tokens, group_size):
+    """(groups, centers) from group_features' [relative xyz | center xyz]."""
+    feats = group_features(cloud, m_tokens, group_size)
+    return feats[..., :3], feats[:, 0, 3:]
 
 
 class TestTokenize:
@@ -121,10 +125,6 @@ class TestEncode:
         assert np.array_equal(out, ref)
         for g, ref_g in zip(grads, ref_grads):
             assert np.array_equal(g, ref_g)
-
-    def test_source_tag_validation(self):
-        with pytest.raises(NumericsError):
-            FeatureTokens(Tensor(np.zeros((2, 2))), source="other")
 
 
 class TestPool:

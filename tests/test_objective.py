@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from latentdyn.data import SceneConfig, generate_trajectory
-from latentdyn.dynamics import ModelConfig, init_models, predict_future, predict_history
-from latentdyn.encoder import pool
+from latentdyn.dynamics import ModelConfig, branch_predict, init_models
+from latentdyn.encoder import encode_groups, pool
 from latentdyn.numerics import NumericsError, RandomStream, Tensor
 from latentdyn.objective import (
     LossBreakdown,
@@ -151,10 +151,13 @@ class TestBidirectional:
     def test_branches_match_public_ops_bitwise(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
         _, bd = _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights)
-        pf, tf = predict_future(models, ct, ctk, taus, ef)
-        ph, th = predict_history(models, ct, ctk, taus, eh)
-        fut = vicreg(pool(pf.tokens), pool(tf.tokens), weights)
-        hist = vicreg(pool(ph.tokens), pool(th.tokens), weights)
+        feats_t, feats_tk = models.tokenize(ct), models.tokenize(ctk)
+        z_t, z_tk = encode_groups(models.online, feats_t), encode_groups(models.online, feats_tk)
+        tf, th = encode_groups(models.target, feats_tk), encode_groups(models.target, feats_t)
+        pf = branch_predict(models, z_t, z_tk, tf, taus, ef, "forward")
+        ph = branch_predict(models, z_t, z_tk, th, taus, eh, "backward")
+        fut = vicreg(pool(pf), pool(tf), weights)
+        hist = vicreg(pool(ph), pool(th), weights)
         assert bd.total_future == fut["total"].item()
         assert bd.total_history == hist["total"].item()
 

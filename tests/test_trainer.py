@@ -10,6 +10,8 @@ import pytest
 from latentdyn.data import DataError, SceneConfig, generate_trajectory, trajectory_seed
 from latentdyn.dynamics import ModelConfig
 from latentdyn.encoder import momentum_schedule
+from latentdyn.numerics import NumericsError
+from latentdyn import trainer
 from latentdyn.trainer import (
     CheckpointFormatError,
     TrainConfig,
@@ -37,6 +39,10 @@ def dataset():
     return [generate_trajectory(cfg, trajectory_seed(33, i)) for i in range(6)]
 
 
+def _flat(store):
+    return np.concatenate([t.data.reshape(-1) for _, t in store.items()])
+
+
 def _batch_feats(state, dataset, cfg):
     batch = _epoch_batches(state, dataset)[0]
     return tuple(state.models.tokenize([dataset[i].frames[t + offset] for i, t in batch])
@@ -51,7 +57,7 @@ class TestTrainingStep:
             state = init_train_state(cfg, total_steps=10)
             feats_t, feats_tk = _batch_feats(state, dataset, cfg)
             rec = training_step(state, feats_t, feats_tk)
-            return rec, state.trainable.flatten()
+            return rec, _flat(state.trainable)
 
         rec1, p1 = one_step()
         rec2, p2 = one_step()
@@ -147,6 +153,27 @@ class TestTrainLoop:
             assert {k: v for k, v in old.items() if k != "wall_ms"} == \
                 {k: v for k, v in new.items() if k != "wall_ms"}
 
+    def test_numerics_error_writes_diagnostics(self, dataset, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        batches = _epoch_batches(init_train_state(cfg), dataset)
+        original = trainer.training_step
+        calls = []
+
+        def poisoned(state, feats_t, feats_tk, epoch=0):
+            calls.append(epoch)
+            if len(calls) == 2:  # the first tokenizer bias turns NaN before step 2
+                state.models.online["tok.fc1.b"].data[0] = np.nan
+            return original(state, feats_t, feats_tk, epoch=epoch)
+
+        monkeypatch.setattr(trainer, "training_step", poisoned)
+        with pytest.raises(NumericsError, match="produced by add"):
+            train(cfg, dataset, tmp_path)
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert "produced by add" in diag["error"]
+        assert (diag["epoch"], diag["step"]) == (0, 2)
+        assert diag["batch"] == [list(pair) for pair in batches[1]]
+        assert not (tmp_path / "final.afck").exists()
+
     def test_resume_config_mismatch_rejected(self, dataset, tmp_path):
         cfg = tiny_config(epochs=2, checkpoint_every=1)
         train(cfg, dataset, tmp_path / "r")
@@ -223,8 +250,33 @@ class TestCheckpointFormat:
         legacy.write_bytes(raw[:-len(tail)] + struct.pack("<I", len(older_json)) + older_json)
         state = load_checkpoint(legacy)
         assert state.config.n_blocks == ModelConfig().n_blocks
-        assert np.array_equal(state.trainable.flatten(),
-                              load_checkpoint(final).trainable.flatten())
+        assert np.array_equal(_flat(state.trainable), _flat(load_checkpoint(final).trainable))
+
+    @staticmethod
+    def _with_first_dims(raw: bytes, dims: tuple[int, ...]) -> bytes:
+        """raw with the first tensor's dims replaced (same ndim)."""
+        (name_len,) = struct.unpack_from("<H", raw, 20)
+        at = 20 + 2 + name_len + 4
+        return raw[:at] + struct.pack(f"<{len(dims)}Q", *dims) + raw[at + 8 * len(dims):]
+
+    def test_huge_dims_rejected(self, tmp_path):
+        final = tmp_path / "init.afck"
+        save_checkpoint(init_train_state(tiny_config()), final)
+        bad = tmp_path / "huge.afck"
+        # 2^40 x 2^40 wraps to 0 in int64
+        bad.write_bytes(self._with_first_dims(final.read_bytes(), (2 ** 40, 2 ** 40)))
+        with pytest.raises(CheckpointFormatError, match="enc.tok.fc1.w data"):
+            load_checkpoint(bad)
+
+    def test_swapped_dims_rejected(self, tmp_path):
+        state = init_train_state(tiny_config())
+        final = tmp_path / "init.afck"
+        save_checkpoint(state, final)
+        rows, cols = state.trainable["enc.tok.fc1.w"].shape
+        bad = tmp_path / "swapped.afck"
+        bad.write_bytes(self._with_first_dims(final.read_bytes(), (cols, rows)))
+        with pytest.raises(CheckpointFormatError, match="shape"):
+            load_checkpoint(bad)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.afck"
