@@ -19,3 +19,22 @@ def _trajectories_equal(a, b) -> bool:
 @pytest.fixture
 def trajectories_equal():
     return _trajectories_equal
+
+
+def _run_order(item) -> int:
+    """0 for unit tests, 1 for the acceptance suite, 2 for its desk runs."""
+    if "desk_runs" in getattr(item, "fixturenames", ()):
+        return 2
+    return int(item.path.name == "test_acceptance.py")
+
+
+def pytest_collection_modifyitems(items):
+    """Run the unit tests first and the desk-scale acceptance tests last.
+
+    The acceptance suite takes nearly all of the wall time: the gradient-check
+    suite about 100 s, and the session-scoped `desk_runs` fixture, which
+    trains four desk-scale models, about 800 s on a 2-CPU box. The unit tests
+    take about 30 s, so they report first. Sorting is stable, so the order
+    within each group is kept.
+    """
+    items.sort(key=_run_order)
