@@ -16,7 +16,6 @@ import numpy as np
 from .data.geometry import PointCloud
 from .data.synthetic import SceneConfig, generate_trajectory
 from .dynamics import (
-    ModelConfig,
     adaln,
     fdm_block,
     fdm_denoise,
@@ -50,7 +49,8 @@ from .numerics import (
     tsum,
     transpose_last,
 )
-from .objective import VicregWeights, bidirectional_loss, mse_only_loss, vicreg
+from .objective import bidirectional_loss, mse_only_loss, vicreg
+from .trainer import TrainConfig
 
 DEFAULT_TOLERANCE = 1e-4
 
@@ -71,10 +71,6 @@ def _store(stream: RandomStream, shapes: dict) -> ParamStore:
     for name, shape in shapes.items():
         params.add(name, Tensor(stream.normal(shape), requires_grad=True))
     return params
-
-
-def _proj(stream: RandomStream, shape) -> np.ndarray:
-    return stream.normal(shape)
 
 
 def _primitive_checks(stream: RandomStream):
@@ -132,15 +128,15 @@ def _primitive_checks(stream: RandomStream):
     return checks
 
 
-def _tiny_model_config() -> ModelConfig:
-    return ModelConfig(feat_dim=6, tokens=3, group_size=4, action_dim=3, idm_hidden=5,
+def _tiny_config() -> TrainConfig:
+    return TrainConfig(feat_dim=6, tokens=3, group_size=4, action_dim=3, idm_hidden=5,
                        cond_width=4, ffn_mult=2, n_blocks=2, diffusion_steps=8)
 
 
 def _composite_results(seed: int) -> list[CheckResult]:
     stream = RandomStream.derive(seed, "gradcheck-composite")
     results = []
-    cfg = _tiny_model_config()
+    cfg = _tiny_config()
     sched = make_noise_schedule(cfg.diffusion_steps)
 
     # IDM MLP over a pooled difference
@@ -159,8 +155,7 @@ def _composite_results(seed: int) -> list[CheckResult]:
     r_adaln = stream.normal((2, 3, 6))
     results.append(CheckResult(
         "adaln",
-        grad_check(lambda p: tsum(mul(adaln(p["x"], p["c"], p["head.w"], p["head.b"]),
-                                      r_adaln)), adaln_store),
+        grad_check(lambda p: tsum(mul(adaln(p, "head", p["x"], p["c"]), r_adaln)), adaln_store),
         DEFAULT_TOLERANCE))
 
     # One DiT block and the full single-pass denoiser at a perturbed point
@@ -184,8 +179,7 @@ def _composite_results(seed: int) -> list[CheckResult]:
     r_fdm = stream.normal((2, cfg.tokens, cfg.feat_dim))
 
     def fdm_closure(p):
-        out = fdm_denoise(p, Tensor(z_noisy), Tensor(z_cond), Tensor(alpha_vec), taus, sched,
-                          n_blocks=cfg.n_blocks)
+        out = fdm_denoise(p, Tensor(z_noisy), Tensor(z_cond), Tensor(alpha_vec), taus, sched)
         return tsum(mul(out, r_fdm))
 
     results.append(CheckResult("fdm_denoise", grad_check(fdm_closure, fdm64),
@@ -203,7 +197,7 @@ def _composite_results(seed: int) -> list[CheckResult]:
         DEFAULT_TOLERANCE))
 
     # VICReg and plain-MSE heads
-    w = VicregWeights()
+    w = cfg.vicreg_weights()
     vr_store = _store(stream, {"pred": (4, 5), "target": (4, 5)})
     results.append(CheckResult(
         "vicreg",
@@ -234,7 +228,7 @@ def _full_loss_results(seed: int) -> list[CheckResult]:
     results = []
     for label, warmup_steps in (("bidirectional_loss_init", 0),
                                 ("bidirectional_loss_trained", 100)):
-        cfg = replace(_tiny_model_config(), n_blocks=1)
+        cfg = replace(_tiny_config(), n_blocks=1)
         models = init_models(cfg, seed)
         for store in (models.online, models.idm, models.fdm):
             for _, t in store.items():
@@ -249,17 +243,23 @@ def _full_loss_results(seed: int) -> list[CheckResult]:
                                    for t in trajs])
         feats_tk = models.tokenize([PointCloud(t.frames[3].points.astype(np.float64))
                                     for t in trajs])
-        w = VicregWeights()
+        w = cfg.vicreg_weights()
+
+        def loss(taus, ef, eh):
+            total, _ = bidirectional_loss(models, feats_t, feats_tk, taus, ef, eh, w,
+                                          objective=cfg.objective, no_history=cfg.no_history,
+                                          token_level_inv=cfg.token_level_inv)
+            return total
 
         warm_noise = RandomStream.derive(seed, "warm0")
-        opt = OptState.for_params(combined, lr=3e-3)
+        opt = OptState.for_params(combined, lr=3e-3, beta1=cfg.beta1, beta2=cfg.beta2,
+                                  weight_decay=0.0)
         for _ in range(warmup_steps):
             taus = warm_noise.integers(1, cfg.diffusion_steps + 1, 2)
             ef = warm_noise.normal((2, cfg.tokens, cfg.feat_dim))
             eh = warm_noise.normal((2, cfg.tokens, cfg.feat_dim))
             combined.zero_grad()
-            total, _ = bidirectional_loss(models, feats_t, feats_tk, taus, ef, eh, w)
-            total.backward()
+            loss(taus, ef, eh).backward()
             adamw_step(combined, opt)
 
         fixed = RandomStream.derive(seed, "eval0")
@@ -271,11 +271,7 @@ def _full_loss_results(seed: int) -> list[CheckResult]:
             draws.append((taus, ef, eh))
 
         def closure(_params):
-            acc = None
-            for taus, ef, eh in draws:
-                total, _ = bidirectional_loss(models, feats_t, feats_tk, taus, ef, eh, w)
-                acc = total if acc is None else acc + total
-            return acc * 0.5
+            return (loss(*draws[0]) + loss(*draws[1])) * 0.5
 
         results.append(CheckResult(label, grad_check(closure, combined), DEFAULT_TOLERANCE))
     return results
@@ -295,7 +291,7 @@ def run_gradcheck_suite(seed: int = 0, points_per_op: int = 20) -> list[CheckRes
             def r(shape):
                 key = tuple(shape)
                 if key not in projections:
-                    projections[key] = _proj(stream, shape)
+                    projections[key] = stream.normal(shape)
                 return projections[key]
 
             worst = max(worst, grad_check(lambda p: fn(p, r), params))

@@ -132,19 +132,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    overrides: dict = {}
-    if args.interval is not None:
-        overrides["train.k"] = args.interval
-    if args.d_act is not None:
-        overrides["train.action_dim"] = args.d_act
-    if args.idm_input is not None:
-        overrides["train.idm_input"] = args.idm_input
-    if args.objective is not None:
-        overrides["train.objective"] = args.objective
+    flags = (("k", args.interval), ("action_dim", args.d_act), ("idm_input", args.idm_input),
+             ("objective", args.objective), ("seed", args.seed))
+    overrides = {f"train.{key}": value for key, value in flags if value is not None}
     if args.no_history:
         overrides["train.no_history"] = True
-    if args.seed is not None:
-        overrides["train.seed"] = args.seed
     cfg = parse_config(args.config, overrides)
     _echo_config(cfg)
     dataset = read_dataset(args.data)

@@ -85,6 +85,17 @@ def read_exact(f, n: int, what: str, error: type[DataError], size: int) -> bytes
     return f.read(n)
 
 
+def json_object(raw: bytes, what: str, error: type[DataError]) -> dict:
+    """raw parsed as a UTF-8 JSON object, or `error`."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
+        raise error(f"{what} is not UTF-8 JSON: {err}") from err
+    if not isinstance(obj, dict):
+        raise error(f"{what} is not a JSON object")
+    return obj
+
+
 def read_dataset(path) -> list[Trajectory]:
     path = Path(path)
     with open(path, "rb") as f:
@@ -121,8 +132,7 @@ def read_dataset(path) -> list[Trajectory]:
 
     meta_path = Path(f"{path}.meta.json")
     if meta_path.exists():
-        with open(meta_path, encoding="utf-8") as f:
-            meta = json.load(f)
+        meta = json_object(meta_path.read_bytes(), str(meta_path), DatasetFormatError)
         descriptors = meta.get("descriptors")
         if descriptors and len(descriptors) == len(trajs):
             for traj, desc in zip(trajs, descriptors):

@@ -6,12 +6,14 @@ decides which encoder's tokens feed which input and which direction the
 action explains.
 
 The IDM is a 3-layer GELU MLP over pooled feature differences (or raw
-concatenated pairs under the leakage ablation). The FDM is a 4-block DiT:
+concatenated pooled pairs under the leakage ablation). The FDM is a DiT
+with `n_blocks` blocks (the denoiser counts them in its parameter store):
 conditioning from [pooled current feature | latent action | timestep
 embedding], adaptive LayerNorm with zero-initialized scale/shift heads and
 zero-initialized residual gates, and an identity-initialized final
 projector — at init the whole denoiser is LN(noisy input). Denoising is a
-single pass; there is no iterative sampling.
+single pass; there is no iterative sampling. A scalar timestep is a batch
+of shape (): it goes with unbatched features and actions.
 """
 
 from __future__ import annotations
@@ -28,16 +30,15 @@ from .numerics import (
     ParamStore,
     RandomStream,
     Tensor,
-    attention,
     concat,
+    dense,
     gelu,
-    linear,
-    matmul,
+    layer_norm,
     mul,
     reshape,
+    self_attention,
     slice_last,
     sub,
-    layer_norm,
 )
 
 DIRECTIONS = ("forward", "backward")
@@ -49,7 +50,8 @@ ABAR_FLOOR = 1e-4  # lower clamp on abar; NoiseSchedule needs every abar > 0
 
 @dataclass
 class NoiseSchedule:
-    """Cumulative signal weights abar[0..T], abar[0] = 1, strictly decreasing."""
+    """Cumulative signal weights abar[0..T], abar[0] = 1, strictly decreasing
+    until they reach ABAR_FLOOR, where equal neighbours may follow."""
 
     steps: int
     abar: np.ndarray
@@ -62,8 +64,9 @@ class NoiseSchedule:
             raise NumericsError("abar[0] must be exactly 1")
         if np.any(self.abar <= 0.0) or np.any(self.abar > 1.0):
             raise NumericsError("abar values must lie in (0, 1]")
-        if np.any(np.diff(self.abar) >= 0.0):
-            raise NumericsError("abar must be strictly decreasing after index 0")
+        step = np.diff(self.abar)
+        if np.any(step > 0.0) or np.any((step == 0.0) & (self.abar[1:] != ABAR_FLOOR)):
+            raise NumericsError("abar must be strictly decreasing above ABAR_FLOOR")
 
 
 def make_noise_schedule(steps: int) -> NoiseSchedule:
@@ -78,67 +81,52 @@ def make_noise_schedule(steps: int) -> NoiseSchedule:
 
 
 def noise_feature(tokens: Tensor, tau, eps: np.ndarray, sched: NoiseSchedule) -> Tensor:
-    """z^(tau) = sqrt(abar)*z + sqrt(1-abar)*eps.
-
-    tau may be a scalar step or one step per leading batch element. The
-    abar=1 case returns the input tokens exactly (no float round-trip).
-    """
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        tau = int(tau)
-        if not 0 <= tau <= sched.steps:
-            raise NumericsError(f"tau {tau} outside schedule range [0, {sched.steps}]")
-        if sched.abar[tau] == 1.0:
-            return tokens
-        a = sched.abar[tau]
-        coeff_signal, coeff_noise = math.sqrt(a), math.sqrt(1.0 - a)
-    else:
-        tau = np.asarray(tau, dtype=np.int64)
-        if np.any(tau < 0) or np.any(tau > sched.steps):
-            raise NumericsError("tau outside schedule range")
-        a = sched.abar[tau].reshape(tau.shape + (1, 1))
-        coeff_signal, coeff_noise = np.sqrt(a), np.sqrt(1.0 - a)
+    """z^(tau) = sqrt(abar)*z + sqrt(1-abar)*eps, one tau per leading batch
+    element of the (..., M, D) tokens. At abar=1 the values equal the
+    input tokens exactly: z*1 + 0*eps."""
+    tau = np.asarray(tau, dtype=np.int64)
+    if np.any(tau < 0) or np.any(tau > sched.steps):
+        raise NumericsError(f"tau outside schedule range [0, {sched.steps}]")
     if np.shape(eps) != tokens.shape:
         raise NumericsError(f"noise shape {np.shape(eps)} != tokens shape {tokens.shape}")
-    noise_term = np.asarray(coeff_noise * eps, dtype=str(tokens.dtype))
-    return mul(tokens, coeff_signal) + noise_term
+    a = sched.abar[tau].reshape(tau.shape + (1, 1))
+    noise_term = np.asarray(np.sqrt(1.0 - a) * eps, dtype=str(tokens.dtype))
+    return mul(tokens, np.sqrt(a)) + noise_term
 
 
 # -- inverse dynamics ------------------------------------------------------
 
 def init_idm_params(input_dim: int, hidden: int, action_dim: int,
-                    stream: RandomStream, dtype=np.float32) -> ParamStore:
+                    stream: RandomStream) -> ParamStore:
     params = ParamStore()
-    for name, fan_in, fan_out in (("fc1", input_dim, hidden),
-                                  ("fc2", hidden, hidden),
-                                  ("fc3", hidden, action_dim)):
-        w = stream.normal((fan_in, fan_out)) / math.sqrt(fan_in)
-        params.add(f"{name}.w", Tensor(w.astype(dtype), requires_grad=True))
-        params.add(f"{name}.b", Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
+    params.add_dense("fc1", input_dim, hidden, stream)
+    params.add_dense("fc2", hidden, hidden, stream)
+    params.add_dense("fc3", hidden, action_dim, stream)
     return params
 
 
 def idm_forward(params: ParamStore, x: Tensor) -> Tensor:
-    h = gelu(linear(x, params["fc1.w"], params["fc1.b"]))
-    h = gelu(linear(h, params["fc2.w"], params["fc2.b"]))
-    return linear(h, params["fc3.w"], params["fc3.b"])
+    h = gelu(dense(params, "fc1", x))
+    h = gelu(dense(params, "fc2", h))
+    return dense(params, "fc3", h)
 
 
-def infer_latent_action(params: ParamStore, z_a: Tensor, z_b: Tensor,
-                        direction: str, input_mode: str = "diff") -> Tensor:
-    """Latent action for the temporally ordered pair (z_a, z_b) = (t, t+k).
+def infer_latent_action(params: ParamStore, pa: Tensor, pb: Tensor,
+                        direction: str, input_mode: str) -> Tensor:
+    """Latent action for the temporally ordered pair of pooled (..., D)
+    features (pa, pb) = (t, t+k).
 
-    forward explains t -> t+k from pool(z_b) - pool(z_a); backward explains
-    t+k -> t from the negated difference. Under input_mode="concat" the MLP
-    sees the raw pooled pair instead (the feature-leakage ablation), with
-    the pair order swapped for the backward direction.
+    forward explains t -> t+k from pb - pa; backward explains t+k -> t from
+    the negated difference. Under input_mode="concat" the MLP sees the raw
+    pooled pair instead (the feature-leakage ablation), with the pair order
+    swapped for the backward direction.
     """
     if direction not in DIRECTIONS:
         raise NumericsError(f"unknown direction {direction!r}")
     if input_mode not in IDM_INPUT_MODES:
         raise NumericsError(f"unknown idm input mode {input_mode!r}")
-    if z_a.shape != z_b.shape:
-        raise NumericsError(f"feature shape mismatch: {z_a.shape} vs {z_b.shape}")
-    pa, pb = pool(z_a), pool(z_b)
+    if pa.shape != pb.shape:
+        raise NumericsError(f"feature shape mismatch: {pa.shape} vs {pb.shape}")
     if input_mode == "diff":
         inp = sub(pb, pa) if direction == "forward" else sub(pa, pb)
     else:
@@ -161,25 +149,24 @@ def sinusoidal_embedding(tau) -> np.ndarray:
 
 
 def _cond_mlp(params: ParamStore, prefix: str, x: Tensor) -> Tensor:
-    h = gelu(linear(x, params[f"{prefix}.fc1.w"], params[f"{prefix}.fc1.b"]))
-    return linear(h, params[f"{prefix}.fc2.w"], params[f"{prefix}.fc2.b"])
+    return dense(params, f"{prefix}.fc2", gelu(dense(params, f"{prefix}.fc1", x)))
 
 
 def condition_vector(params: ParamStore, z_pool: Tensor, action: Tensor, tau) -> Tensor:
-    """(..., 3 * cond_width) conditioning [z part | action part | time part]."""
+    """(..., 3 * cond_width) conditioning [z part | action part | time part],
+    one tau per batch element of the (..., D) pooled features."""
     temb = sinusoidal_embedding(tau)
-    if np.ndim(tau) == 0 and z_pool.ndim > 1:
-        temb = np.broadcast_to(temb, z_pool.shape[:-1] + (SINUSOID_DIM,))
     z_part = _cond_mlp(params, "cond.z", z_pool)
     a_part = _cond_mlp(params, "cond.a", action)
     t_part = _cond_mlp(params, "cond.t", Tensor(temb.astype(str(z_pool.dtype))))
     return concat([z_part, a_part, t_part], axis=-1)
 
 
-def adaln(x: Tensor, c: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
-    """LN(x) * (1 + gamma(c)) + beta(c), gamma/beta shared across tokens."""
+def adaln(params: ParamStore, head: str, x: Tensor, c: Tensor) -> Tensor:
+    """LN(x) * (1 + gamma(c)) + beta(c), with [gamma | beta] from the dense
+    head `head`, shared across tokens."""
     d = x.shape[-1]
-    gb = linear(c, head_w, head_b)
+    gb = dense(params, head, c)
     if gb.shape[-1] != 2 * d:
         raise NumericsError(f"AdaLN head emits {gb.shape[-1]} values, tokens need {2 * d}")
     gamma = reshape(slice_last(gb, 0, d), gb.shape[:-1] + (1, d))
@@ -188,70 +175,56 @@ def adaln(x: Tensor, c: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
 
 
 def init_fdm_params(feat_dim: int, action_dim: int, cond_width: int, ffn_mult: int,
-                    n_blocks: int, stream: RandomStream, dtype=np.float32) -> ParamStore:
+                    n_blocks: int, stream: RandomStream) -> ParamStore:
+    """Conditioning MLPs, then n_blocks DiT blocks, then the final head.
+    Without a stream, add_dense makes the AdaLN heads and gates zero."""
     params = ParamStore()
     cond_dim = 3 * cond_width
-
-    def dense(name, fan_in, fan_out, zero=False):
-        if zero:
-            w = np.zeros((fan_in, fan_out))
-        else:
-            w = stream.normal((fan_in, fan_out)) / math.sqrt(fan_in)
-        params.add(f"{name}.w", Tensor(w.astype(dtype), requires_grad=True))
-        params.add(f"{name}.b", Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
-
     for prefix, fan_in in (("cond.z", feat_dim), ("cond.a", action_dim),
                            ("cond.t", SINUSOID_DIM)):
-        dense(f"{prefix}.fc1", fan_in, cond_width)
-        dense(f"{prefix}.fc2", cond_width, cond_width)
+        params.add_dense(f"{prefix}.fc1", fan_in, cond_width, stream)
+        params.add_dense(f"{prefix}.fc2", cond_width, cond_width, stream)
     for i in range(n_blocks):
-        dense(f"blk{i}.adaln1", cond_dim, 2 * feat_dim, zero=True)
-        dense(f"blk{i}.gate1", cond_dim, feat_dim, zero=True)
-        for name in ("wq", "wk", "wv", "wo"):
-            w = stream.normal((feat_dim, feat_dim)) / math.sqrt(feat_dim)
-            params.add(f"blk{i}.attn.{name}", Tensor(w.astype(dtype), requires_grad=True))
-        dense(f"blk{i}.adaln2", cond_dim, 2 * feat_dim, zero=True)
-        dense(f"blk{i}.gate2", cond_dim, feat_dim, zero=True)
-        dense(f"blk{i}.ffn.fc1", feat_dim, ffn_mult * feat_dim)
-        dense(f"blk{i}.ffn.fc2", ffn_mult * feat_dim, feat_dim)
-    dense("final.adaln", cond_dim, 2 * feat_dim, zero=True)
-    params.add("final.proj.w", Tensor(np.eye(feat_dim, dtype=dtype), requires_grad=True))
-    params.add("final.proj.b", Tensor(np.zeros(feat_dim, dtype=dtype), requires_grad=True))
+        params.add_dense(f"blk{i}.adaln1", cond_dim, 2 * feat_dim)
+        params.add_dense(f"blk{i}.gate1", cond_dim, feat_dim)
+        params.add_attention(f"blk{i}.attn", feat_dim, stream)
+        params.add_dense(f"blk{i}.adaln2", cond_dim, 2 * feat_dim)
+        params.add_dense(f"blk{i}.gate2", cond_dim, feat_dim)
+        params.add_dense(f"blk{i}.ffn.fc1", feat_dim, ffn_mult * feat_dim, stream)
+        params.add_dense(f"blk{i}.ffn.fc2", ffn_mult * feat_dim, feat_dim, stream)
+    params.add_dense("final.adaln", cond_dim, 2 * feat_dim)
+    params.add_dense("final.proj", feat_dim, feat_dim)
+    np.fill_diagonal(params["final.proj.w"].data, 1.0)  # identity projector
     return params
 
 
 def _gate(params: ParamStore, name: str, c: Tensor, d: int) -> Tensor:
-    g = linear(c, params[f"{name}.w"], params[f"{name}.b"])
+    g = dense(params, name, c)
     return reshape(g, g.shape[:-1] + (1, d))
 
 
 def fdm_block(params: ParamStore, index: int, x: Tensor, c: Tensor) -> Tensor:
     d = x.shape[-1]
     pre = f"blk{index}"
-    h = adaln(x, c, params[f"{pre}.adaln1.w"], params[f"{pre}.adaln1.b"])
-    q = matmul(h, params[f"{pre}.attn.wq"])
-    k = matmul(h, params[f"{pre}.attn.wk"])
-    v = matmul(h, params[f"{pre}.attn.wv"])
-    att = matmul(attention(q, k, v), params[f"{pre}.attn.wo"])
+    att = self_attention(params, f"{pre}.attn", adaln(params, f"{pre}.adaln1", x, c))
     x = x + _gate(params, f"{pre}.gate1", c, d) * att
-    h2 = adaln(x, c, params[f"{pre}.adaln2.w"], params[f"{pre}.adaln2.b"])
-    ffn = linear(gelu(linear(h2, params[f"{pre}.ffn.fc1.w"], params[f"{pre}.ffn.fc1.b"])),
-                 params[f"{pre}.ffn.fc2.w"], params[f"{pre}.ffn.fc2.b"])
+    h2 = adaln(params, f"{pre}.adaln2", x, c)
+    ffn = dense(params, f"{pre}.ffn.fc2", gelu(dense(params, f"{pre}.ffn.fc1", h2)))
     return x + _gate(params, f"{pre}.gate2", c, d) * ffn
 
 
 def fdm_denoise(params: ParamStore, z_noisy: Tensor, z_cond: Tensor, action: Tensor,
-                tau, sched: NoiseSchedule, n_blocks: int = 4) -> Tensor:
-    """Single-pass denoise of the noisy tokens under (z_cond, action, tau)."""
+                tau, sched: NoiseSchedule) -> Tensor:
+    """Single-pass denoise of the noisy tokens under (z_cond, action, tau),
+    through every block the store holds."""
     taus = np.asarray(tau)
     if np.any(taus < 0) or np.any(taus > sched.steps):
         raise NumericsError(f"tau outside schedule range [0, {sched.steps}]")
     cond = condition_vector(params, pool(z_cond), action, tau)
     x = z_noisy
-    for i in range(n_blocks):
+    for i in range(sum(name.endswith(".gate1.w") for name in params.names())):
         x = fdm_block(params, i, x, cond)
-    y = adaln(x, cond, params["final.adaln.w"], params["final.adaln.b"])
-    return linear(y, params["final.proj.w"], params["final.proj.b"])
+    return dense(params, "final.proj", adaln(params, "final.adaln", x, cond))
 
 
 # -- model bundle and the two prediction branches ---------------------------
@@ -317,14 +290,14 @@ class Models:
         return combined
 
 
-def init_models(cfg: ModelConfig, seed: int, dtype=np.float32) -> Models:
+def init_models(cfg: ModelConfig, seed: int) -> Models:
     cfg.validate()
     stream = RandomStream.derive(seed, "init")
-    online = init_encoder_params(cfg.feat_dim, stream, dtype)
+    online = init_encoder_params(cfg.feat_dim, stream)
     target = online.copy(requires_grad=False)  # exact copy at step 0
-    idm = init_idm_params(cfg.idm_input_dim, cfg.idm_hidden, cfg.action_dim, stream, dtype)
+    idm = init_idm_params(cfg.idm_input_dim, cfg.idm_hidden, cfg.action_dim, stream)
     fdm = init_fdm_params(cfg.feat_dim, cfg.action_dim, cfg.cond_width, cfg.ffn_mult,
-                          cfg.n_blocks, stream, dtype)
+                          cfg.n_blocks, stream)
     return Models(config=cfg, online=online, target=target, idm=idm, fdm=fdm)
 
 
@@ -336,9 +309,8 @@ def branch_predict(models: Models, z_t: Tensor, z_tk: Tensor, z_teacher: Tensor,
     backward: condition on z_tk, denoise toward the teacher's t feature.
     (z_t, z_tk) are always passed in temporal order.
     """
-    cfg = models.config
-    action = infer_latent_action(models.idm, z_t, z_tk, direction, cfg.idm_input)
+    action = infer_latent_action(models.idm, pool(z_t), pool(z_tk), direction,
+                                 models.config.idm_input)
     z_cond = z_t if direction == "forward" else z_tk
     z_noisy = noise_feature(z_teacher, tau, eps, models.sched)
-    return fdm_denoise(models.fdm, z_noisy, z_cond, action, tau, models.sched,
-                       n_blocks=cfg.n_blocks)
+    return fdm_denoise(models.fdm, z_noisy, z_cond, action, tau, models.sched)

@@ -21,12 +21,11 @@ from .numerics import (
     ParamStore,
     RandomStream,
     Tensor,
-    attention,
+    dense,
     gelu,
     gelu_max,
     layer_norm,
-    linear,
-    matmul,
+    self_attention,
     tmean,
 )
 
@@ -51,19 +50,11 @@ def group_features(cloud: PointCloud, m_tokens: int, group_size: int) -> np.ndar
     return np.concatenate([groups, centers_rep], axis=2)
 
 
-def init_encoder_params(feat_dim: int, stream: RandomStream, dtype=np.float32) -> ParamStore:
+def init_encoder_params(feat_dim: int, stream: RandomStream) -> ParamStore:
     params = ParamStore()
-
-    def dense(name, fan_in, fan_out):
-        w = stream.normal((fan_in, fan_out)) / math.sqrt(fan_in)
-        params.add(f"{name}.w", Tensor(w.astype(dtype), requires_grad=True))
-        params.add(f"{name}.b", Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
-
-    dense("tok.fc1", 6, feat_dim)
-    dense("tok.fc2", feat_dim, feat_dim)
-    for name in ("mix.wq", "mix.wk", "mix.wv", "mix.wo"):
-        w = stream.normal((feat_dim, feat_dim)) / math.sqrt(feat_dim)
-        params.add(name, Tensor(w.astype(dtype), requires_grad=True))
+    params.add_dense("tok.fc1", 6, feat_dim, stream)
+    params.add_dense("tok.fc2", feat_dim, feat_dim, stream)
+    params.add_attention("mix", feat_dim, stream)
     return params
 
 
@@ -71,14 +62,11 @@ def encode_groups(params: ParamStore, feats: np.ndarray) -> Tensor:
     """Grouped features (..., M, g, 6) -> tokens (..., M, D)."""
     dtype = params["tok.fc1.w"].dtype
     x = Tensor(np.asarray(feats, dtype=dtype))
-    h = gelu(linear(x, params["tok.fc1.w"], params["tok.fc1.b"]))
+    h = gelu(dense(params, "tok.fc1", x))
     # GELU then max-pool over the group (order-invariant), as one node
-    raw = gelu_max(linear(h, params["tok.fc2.w"], params["tok.fc2.b"]), axis=-2)
-    normed = layer_norm(raw)  # pre-LN keeps mixing scale-invariant
-    q = matmul(normed, params["mix.wq"])
-    k = matmul(normed, params["mix.wk"])
-    v = matmul(normed, params["mix.wv"])
-    return raw + matmul(attention(q, k, v), params["mix.wo"])
+    raw = gelu_max(dense(params, "tok.fc2", h), axis=-2)
+    # pre-LN keeps mixing scale-invariant
+    return raw + self_attention(params, "mix", layer_norm(raw))
 
 
 def pool(tokens: Tensor) -> Tensor:
@@ -109,7 +97,7 @@ def ema_update(target: ParamStore, online: ParamStore, momentum: float) -> None:
             t.data += (1.0 - momentum) * o.data
 
 
-def momentum_schedule(step: int, total_steps: int, m0: float = 0.996) -> float:
+def momentum_schedule(step: int, total_steps: int, m0: float) -> float:
     """Cosine ramp from m0 at step 0 to 1.0 at the final step."""
     if not 0 <= step <= total_steps:
         raise NumericsError(f"step {step} outside [0, {total_steps}]")

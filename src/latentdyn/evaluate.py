@@ -11,7 +11,7 @@ import numpy as np
 
 from .data.geometry import DataError
 from .data.synthetic import Trajectory
-from .dynamics import Models, idm_forward
+from .dynamics import Models, infer_latent_action
 from .encoder import encode_groups, pool
 from .numerics import RandomStream, Tensor
 from .trainer import TrainState
@@ -132,21 +132,15 @@ def _probe_pairs(models: Models, trajs: list[Trajectory], k: int,
                  pooled_online: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Latent actions for every (t, t+k) pair vs the summed push over the
     window [t, t+k)."""
-    cfg = models.config
     alpha_rows = []
     action_rows = []
     for traj, pooled in zip(trajs, pooled_online):
         if traj.length < k + 1:
             raise DataError(f"trajectory too short for interval k={k}")
         ts = np.arange(traj.length - k)
-        p_t = pooled[ts]
-        p_tk = pooled[ts + k]
-        if cfg.idm_input == "diff":
-            inp = p_tk - p_t
-        else:
-            inp = np.concatenate([p_t, p_tk], axis=1)
-        alpha = idm_forward(models.idm, Tensor(inp.astype(np.float32))).data
-        alpha_rows.append(alpha)
+        alpha_rows.append(infer_latent_action(models.idm, Tensor(pooled[ts]),
+                                              Tensor(pooled[ts + k]), "forward",
+                                              models.config.idm_input).data)
         cum = np.cumsum(np.concatenate([np.zeros((1, traj.actions.shape[1])),
                                         traj.actions], axis=0), axis=0)
         action_rows.append(cum[ts + k] - cum[ts])
@@ -165,8 +159,7 @@ def run_probe(state: TrainState, dataset: list[Trajectory]) -> dict:
 
     probe = linear_probe(alphas, actions, split_seed=state.config.seed)
     shuffle = RandomStream.derive(_SHUFFLE_SEED, "probe-shuffle").permutation(len(actions))
-    shuffled = actions[shuffle]
-    probe_shuffled = linear_probe(alphas, shuffled, split_seed=state.config.seed)
+    probe_shuffled = linear_probe(alphas, actions[shuffle], split_seed=state.config.seed)
 
     collapse = collapse_metrics(np.concatenate(pooled["target"], axis=0))
 

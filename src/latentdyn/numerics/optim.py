@@ -2,35 +2,35 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .params import ParamStore
 from .tensor import NumericsError
 
+_EPS = 1e-8  # added to sqrt(v_hat) in the update's denominator
+
 
 @dataclass
 class OptState:
     """Per-parameter moment accumulators plus the shared step counter."""
 
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    lr: float
+    beta1: float
+    beta2: float
+    weight_decay: float
+    step: int
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
 
     @classmethod
-    def for_params(cls, params: ParamStore, lr: float = 1e-4, beta1: float = 0.9,
-                   beta2: float = 0.999, weight_decay: float = 0.0) -> "OptState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, weight_decay=weight_decay)
-        for name, t in params.items():
-            state.m[name] = np.zeros_like(t.data)
-            state.v[name] = np.zeros_like(t.data)
-        return state
+    def for_params(cls, params: ParamStore, lr: float, beta1: float, beta2: float,
+                   weight_decay: float) -> "OptState":
+        """Zero moments for every parameter, at step 0."""
+        return cls(lr=lr, beta1=beta1, beta2=beta2, weight_decay=weight_decay, step=0,
+                   m={name: np.zeros_like(t.data) for name, t in params.items()},
+                   v={name: np.zeros_like(t.data) for name, t in params.items()})
 
 
 def adamw_step(params: ParamStore, opt: OptState) -> None:
@@ -57,7 +57,7 @@ def adamw_step(params: ParamStore, opt: OptState) -> None:
         v += (1.0 - opt.beta2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        update = m_hat / (np.sqrt(v_hat) + opt.eps)
+        update = m_hat / (np.sqrt(v_hat) + _EPS)
         if opt.weight_decay != 0.0:
             update = update + opt.weight_decay * p.data
         p.data -= (opt.lr * update).astype(p.data.dtype)

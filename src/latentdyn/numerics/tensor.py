@@ -37,8 +37,8 @@ def _check_finite(data: np.ndarray, where: str) -> None:
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         _check_finite(arr, "tensor creation")
@@ -98,12 +98,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and not isinstance(shape[0], int):
@@ -344,13 +338,11 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 
 # -- reductions -----------------------------------------------------------
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
-        gx = g if keepdims else np.expand_dims(g, axis)
+        gx = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gx, a.shape).astype(a.dtype, copy=False),)
 
     return _result(np.asarray(data), (a,), vjp, "sum")
@@ -361,23 +353,20 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.size if axis is None else a.shape[axis]
 
     def vjp(g):
-        if axis is None:
-            return ((np.broadcast_to(g, a.shape) / count).astype(a.dtype, copy=False),)
-        gx = g if keepdims else np.expand_dims(g, axis)
+        gx = g if keepdims or axis is None else np.expand_dims(g, axis)
         return ((np.broadcast_to(gx, a.shape) / count).astype(a.dtype, copy=False),)
 
     return _result(np.asarray(data), (a,), vjp, "mean")
 
 
-def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def tmax(a: Tensor, axis: int) -> Tensor:
     """Max over one axis; ties route gradient to the lowest index."""
-    data = a.data.max(axis=axis, keepdims=keepdims)
+    data = a.data.max(axis=axis)
     idx = np.argmax(a.data, axis=axis)
 
     def vjp(g):
-        gx = g if keepdims else np.expand_dims(g, axis)
         full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), gx, axis=axis)
+        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
         return (full,)
 
     return _result(data, (a,), vjp, "max")
@@ -405,16 +394,9 @@ def square(a: Tensor) -> Tensor:
 
 # -- neural building blocks -------------------------------------------------
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y = x @ W (+ b). W is (in, out); x is (..., in) with at least one batch axis."""
-    if x.shape[-1] != weight.shape[0]:
-        raise NumericsError(
-            f"linear input dim {x.shape[-1]} does not match weight input dim {weight.shape[0]}"
-        )
-    y = matmul(x, weight)
-    if bias is not None:
-        y = add(y, bias)
-    return y
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """y = x @ W + b. W is (in, out); x is (..., in) with at least one batch axis."""
+    return add(matmul(x, weight), bias)
 
 
 def _gelu_phi(x: np.ndarray) -> np.ndarray:

@@ -27,10 +27,13 @@ _VAR_EPS = 1e-4
 
 @dataclass
 class VicregWeights:
-    invariance: float = 25.0
-    variance: float = 25.0
-    covariance: float = 1.0
-    var_threshold: float = 1.0
+    """Loss weights and the variance hinge; `TrainConfig.vicreg_weights`
+    makes them from the config's lambda_* fields."""
+
+    invariance: float
+    variance: float
+    covariance: float
+    var_threshold: float
 
     def __post_init__(self):
         if min(self.invariance, self.variance, self.covariance) < 0:
@@ -83,7 +86,7 @@ def vicreg(pred: Tensor, target: Tensor, w: VicregWeights) -> dict[str, Tensor]:
         raise NumericsError(f"vicreg shape mismatch: {pred.shape} vs {target.shape}")
     if pred.ndim != 2 or pred.shape[0] < 2:
         raise NumericsError("vicreg needs a (B, D) batch with B >= 2")
-    inv = tmean(square(sub(pred, target)))
+    inv = mse_only_loss(pred, target)
     var = mul(_variance_term(pred, w.var_threshold) + _variance_term(target, w.var_threshold), 0.5)
     cov = mul(_covariance_term(pred) + _covariance_term(target), 0.5)
     total = combine_vicreg(w, inv, var, cov)
@@ -107,16 +110,15 @@ def _branch_terms(pred: Tensor, teacher: Tensor, w: VicregWeights,
         return {"inv": inv, "var": zero, "cov": zero, "total": inv}
     terms = vicreg(pred_pooled, teach_pooled, w)
     if token_level_inv:
-        inv = tmean(square(sub(pred, teacher)))
+        inv = mse_only_loss(pred, teacher)
         terms["total"] = terms["total"] + w.invariance * (inv - terms["inv"])
         terms["inv"] = inv
     return terms
 
 
 def bidirectional_loss(models: Models, feats_t: np.ndarray, feats_tk: np.ndarray, taus,
-                       eps_future, eps_history, w: VicregWeights, objective: str = "vicreg",
-                       no_history: bool = False,
-                       token_level_inv: bool = False) -> tuple[Tensor, LossBreakdown]:
+                       eps_future, eps_history, w: VicregWeights, objective: str,
+                       no_history: bool, token_level_inv: bool) -> tuple[Tensor, LossBreakdown]:
     """Predict-future plus predict-history loss over one batch of pairs.
 
     feats_t and feats_tk are the (B, M, g, 6) grouped features of the
@@ -144,13 +146,8 @@ def bidirectional_loss(models: Models, feats_t: np.ndarray, feats_tk: np.ndarray
         pred_h = branch_predict(models, z_t, z_tk, teacher_t, taus, eps_history, "backward")
         terms_h = _branch_terms(pred_h, teacher_t, w, objective, token_level_inv)
 
-    total = terms_f["total"] + terms_h["total"]
-    breakdown = LossBreakdown(
-        inv=terms_f["inv"].item() + terms_h["inv"].item(),
-        var=terms_f["var"].item() + terms_h["var"].item(),
-        cov=terms_f["cov"].item() + terms_h["cov"].item(),
-        total_future=terms_f["total"].item(),
-        total_history=terms_h["total"].item(),
-        total=terms_f["total"].item() + terms_h["total"].item(),
-    )
-    return total, breakdown
+    sums = {key: terms_f[key].item() + terms_h[key].item()
+            for key in ("inv", "var", "cov", "total")}
+    breakdown = LossBreakdown(**sums, total_future=terms_f["total"].item(),
+                              total_history=terms_h["total"].item())
+    return terms_f["total"] + terms_h["total"], breakdown

@@ -29,12 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .data.geometry import DataError
-from .data.io import atomic_writer, read_exact
+from .data.io import atomic_writer, json_object, read_exact
 from .data.synthetic import Trajectory
 from .dynamics import ModelConfig, Models, init_models
 from .encoder import ema_update, momentum_schedule
 from .numerics import NumericsError, OptState, ParamStore, RandomStream, adamw_step
-from .objective import VicregWeights, bidirectional_loss
+from .objective import LossBreakdown, VicregWeights, bidirectional_loss
 
 CKPT_MAGIC = b"AFCK"
 CKPT_VERSION = 1
@@ -95,15 +95,11 @@ class TrainConfig(ModelConfig):
 
 
 @dataclass
-class MetricsRecord:
+class MetricsRecord(LossBreakdown):
+    """One step's loss breakdown plus its bookkeeping."""
+
     epoch: int
     step: int
-    inv: float
-    var: float
-    cov: float
-    total_future: float
-    total_history: float
-    total: float
     ema_m: float
     wall_ms: float
 
@@ -162,12 +158,8 @@ def training_step(state: TrainState, feats_t: np.ndarray, feats_tk: np.ndarray,
     ema_m = momentum_schedule(state.step, max(state.total_steps, 1), cfg.ema_m0)
     ema_update(state.models.target, state.models.online, ema_m)
     state.step += 1
-    return MetricsRecord(
-        epoch=epoch, step=state.step, inv=breakdown.inv, var=breakdown.var,
-        cov=breakdown.cov, total_future=breakdown.total_future,
-        total_history=breakdown.total_history, total=breakdown.total,
-        ema_m=ema_m, wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return MetricsRecord(**dataclasses.asdict(breakdown), epoch=epoch, step=state.step,
+                         ema_m=ema_m, wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def _epoch_batches(state: TrainState, dataset: list[Trajectory]) -> list[list[tuple[int, int]]]:
@@ -178,13 +170,12 @@ def _epoch_batches(state: TrainState, dataset: list[Trajectory]) -> list[list[tu
         ts = state.shuffle_stream.integers(0, traj.length - cfg.k, cfg.pairs_per_traj)
         samples.extend((i, int(t)) for t in ts)
     samples = [samples[j] for j in state.shuffle_stream.permutation(len(samples))]
-    batches = [samples[i:i + cfg.batch_size] for i in range(0, len(samples), cfg.batch_size)]
-    if batches and len(batches[-1]) < 2:
-        batches.pop()
-    return batches
+    return [samples[i * cfg.batch_size:(i + 1) * cfg.batch_size]
+            for i in range(steps_per_epoch(cfg, len(dataset)))]
 
 
 def steps_per_epoch(cfg: TrainConfig, n_traj: int) -> int:
+    """Batches per epoch: the full ones, plus a short one of >= 2 pairs."""
     n_samples = n_traj * cfg.pairs_per_traj
     full, rem = divmod(n_samples, cfg.batch_size)
     return full + (1 if rem >= 2 else 0)
@@ -282,15 +273,10 @@ def _dump_diagnostics(state: TrainState, out_dir: Path, epoch: int,
 # -- checkpoint serialization ----------------------------------------------
 
 def _checkpoint_tensors(state: TrainState) -> list[tuple[str, np.ndarray]]:
-    tensors: list[tuple[str, np.ndarray]] = []
-    for name, t in state.trainable.items():
-        tensors.append((name, t.data))
-    for name, t in state.models.target.items():
-        tensors.append((f"tgt.{name}", t.data))
-    for name in state.trainable.names():
-        tensors.append((f"opt.m.{name}", state.opt.m[name]))
-    for name in state.trainable.names():
-        tensors.append((f"opt.v.{name}", state.opt.v[name]))
+    tensors = [(name, t.data) for name, t in state.trainable.items()]
+    tensors += [(f"tgt.{name}", t.data) for name, t in state.models.target.items()]
+    tensors += [(f"opt.m.{name}", state.opt.m[name]) for name in state.trainable.names()]
+    tensors += [(f"opt.v.{name}", state.opt.v[name]) for name in state.trainable.names()]
     return tensors
 
 
@@ -341,7 +327,10 @@ def load_checkpoint(path) -> TrainState:
         order: list[str] = []
         for i in range(tensor_count):
             (name_len,) = struct.unpack("<H", read(2, f"tensor {i} name length"))
-            name = read(name_len, f"tensor {i} name").decode("utf-8")
+            try:
+                name = read(name_len, f"tensor {i} name").decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise CheckpointFormatError(f"tensor {i} name is not UTF-8: {err}") from err
             (ndim,) = struct.unpack("<I", read(4, f"{name} ndim"))
             dims = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"{name} dims"))
             count = math.prod(dims)
@@ -350,11 +339,11 @@ def load_checkpoint(path) -> TrainState:
             order.append(name)
         rng = struct.unpack("<4Q", read(32, "rng state"))
         (config_len,) = struct.unpack("<I", read(4, "config length"))
-        config_json = read(config_len, "config echo").decode("utf-8")
+        cfg_dict = json_object(read(config_len, "config echo"), "config echo",
+                               CheckpointFormatError)
         if f.read(1):
             raise CheckpointFormatError("trailing bytes after checkpoint payload")
 
-    cfg_dict = json.loads(config_json)
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = set(cfg_dict) - known
     if unknown:

@@ -32,7 +32,7 @@ from latentdyn.dynamics import (
 from latentdyn.encoder import ema_update, encode_groups, pool
 from latentdyn.evaluate import run_probe
 from latentdyn.numerics import RandomStream, Tensor, layer_norm
-from latentdyn.objective import VicregWeights, vicreg
+from latentdyn.objective import vicreg
 from latentdyn.trainer import TrainConfig, load_checkpoint, train
 
 DESK_SEED = 17
@@ -113,7 +113,7 @@ class TestA2AdaLNZeroIdentity:
         z_cond = Tensor(stream.normal((2, cfg.tokens, cfg.feat_dim), dtype=np.float32))
         alpha = Tensor(stream.normal((2, cfg.action_dim), dtype=np.float32))
         denoised = fdm_denoise(models.fdm, z_noisy, z_cond, alpha, np.array([5, 50]),
-                               models.sched, n_blocks=cfg.n_blocks)
+                               models.sched)
         err = np.abs(denoised.data - layer_norm(z_noisy).data).max()
         ok = identical and err <= 1e-6
         _report("A2", ok, f"4 blocks exactly identity: {identical}; "
@@ -275,8 +275,10 @@ class TestA9ExactInvariants:
         cfg = ModelConfig(feat_dim=16, tokens=4, group_size=8, action_dim=6,
                           idm_hidden=16, cond_width=16, ffn_mult=2, diffusion_steps=20)
         models = init_models(cfg, 9)
-        a1 = infer_latent_action(models.idm, Tensor(za), Tensor(zb), "forward")
-        a2 = infer_latent_action(models.idm, Tensor(za), Tensor(zb), "forward")
+        a1 = infer_latent_action(models.idm, pool(Tensor(za)), pool(Tensor(zb)), "forward",
+                                 cfg.idm_input)
+        a2 = infer_latent_action(models.idm, pool(Tensor(za)), pool(Tensor(zb)), "forward",
+                                 cfg.idm_input)
         diff_bitwise = np.array_equal(a1.data, a2.data)
         details.append(f"differencing shift-invariant {shift_exact}, "
                        f"bitwise reproducible {diff_bitwise}")
@@ -299,7 +301,7 @@ class TestA9ExactInvariants:
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
                      dtype=np.float64)[:, 1:]
         x = 2.0 * h
-        out = vicreg(Tensor(x), Tensor(x.copy()), VicregWeights())
+        out = vicreg(Tensor(x), Tensor(x.copy()), TrainConfig().vicreg_weights())
         vz = (out["inv"].item() == 0.0 and out["var"].item() == 0.0
               and abs(out["cov"].item()) < 1e-12)
         details.append(f"vicreg zero cases {vz}")

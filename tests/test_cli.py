@@ -1,13 +1,15 @@
 """CLI subcommands, config precedence, exit codes."""
 
+import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latentdyn.cli import ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_OK, main, parse_config
-from latentdyn.data import read_dataset
+from latentdyn.data import DatasetFormatError, generate_trajectory, read_dataset, write_dataset
 from latentdyn.trainer import TrainConfig, init_train_state, save_checkpoint
 
 
@@ -121,6 +123,52 @@ class TestExitCodes:
         assert code == EXIT_IO
 
 
+def _probe_exit(tmp_path, ckpt, data) -> int:
+    return main(["probe", "--ckpt", str(ckpt), "--data", str(data),
+                 "--report", str(tmp_path / "r.json")])
+
+
+class TestCorruptInputsExit4:
+    """Undecodable checkpoint fields and dataset sidecars are format errors."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        cfg = parse_config(None, TINY)
+        ckpt = tmp_path / "init.afck"
+        save_checkpoint(init_train_state(cfg.train), ckpt)
+        data = tmp_path / "d.afro"
+        trajs = [generate_trajectory(cfg.scene, i) for i in range(2)]
+        write_dataset(trajs, data, config=cfg.scene, seed=0)
+        echo = json.dumps(dataclasses.asdict(cfg.train), sort_keys=True).encode("utf-8")
+        return ckpt, data, echo
+
+    @pytest.mark.parametrize("new_echo", ["utf8", b"{not json", b"[1, 2]"])
+    def test_bad_config_echo(self, inputs, tmp_path, new_echo):
+        ckpt, data, echo = inputs
+        buf = ckpt.read_bytes()
+        assert buf.endswith(struct.pack("<I", len(echo)) + echo)
+        if new_echo == "utf8":
+            new_echo = echo + b"\xff" * 5
+        ckpt.write_bytes(buf[:-len(echo) - 4] + struct.pack("<I", len(new_echo)) + new_echo)
+        assert _probe_exit(tmp_path, ckpt, data) == EXIT_IO
+
+    def test_non_utf8_tensor_name(self, inputs, tmp_path):
+        ckpt, data, _ = inputs
+        buf = bytearray(ckpt.read_bytes())
+        buf[22] = 0xFF  # first byte of the first tensor's name
+        ckpt.write_bytes(bytes(buf))
+        assert _probe_exit(tmp_path, ckpt, data) == EXIT_IO
+
+    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", "\xff"])
+    def test_bad_sidecar(self, inputs, tmp_path, sidecar):
+        ckpt, data, _ = inputs
+        assert _probe_exit(tmp_path, ckpt, data) == EXIT_OK
+        Path(f"{data}.meta.json").write_bytes(sidecar.encode("latin-1"))
+        with pytest.raises(DatasetFormatError):
+            read_dataset(data)
+        assert _probe_exit(tmp_path, ckpt, data) == EXIT_IO
+
+
 class TestPipeline:
     def test_full_pipeline(self, tiny_config_path, tmp_path, capsys):
         data = tmp_path / "tiny.afro"
@@ -188,6 +236,15 @@ class TestPipeline:
         run2 = tmp_path / "r2"
         main(["pretrain", "--data", str(data), "--config", str(echo), "--out", str(run2)])
         assert (run1 / "final.afck").read_bytes() == (run2 / "final.afck").read_bytes()
+
+    def test_pretrain_with_200_diffusion_steps(self, tmp_path, capsys):
+        # the cosine schedule reaches ABAR_FLOOR before its last step here
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "train.diffusion_steps": 200}))
+        data = tmp_path / "t.afro"
+        assert main(["gen-data", "--config", str(path), "--out", str(data)]) == EXIT_OK
+        assert main(["pretrain", "--data", str(data), "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
 
     def test_gen_data_skip_stride(self, tiny_config_path, tmp_path, capsys):
         data = tmp_path / "s.afro"

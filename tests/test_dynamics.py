@@ -6,8 +6,10 @@ import pytest
 
 from latentdyn.data import SceneConfig, generate_trajectory
 from latentdyn.dynamics import (
+    ABAR_FLOOR,
     ModelConfig,
     Models,
+    NoiseSchedule,
     adaln,
     branch_predict,
     condition_vector,
@@ -21,7 +23,7 @@ from latentdyn.dynamics import (
     sinusoidal_embedding,
 )
 from latentdyn.encoder import encode_groups, pool
-from latentdyn.numerics import NumericsError, RandomStream, Tensor, layer_norm, tsum
+from latentdyn.numerics import NumericsError, ParamStore, RandomStream, Tensor, layer_norm, tsum
 
 
 @pytest.fixture
@@ -64,6 +66,20 @@ class TestNoiseSchedule:
     def test_invalid_steps(self):
         with pytest.raises(NumericsError):
             make_noise_schedule(0)
+
+    @pytest.mark.parametrize("steps", [200, 1000])
+    def test_long_schedules_flatten_at_floor(self, steps):
+        abar = make_noise_schedule(steps).abar
+        assert abar[-1] == ABAR_FLOOR and abar[-2] == ABAR_FLOOR
+        above = abar[abar > ABAR_FLOOR]
+        assert np.all(np.diff(above) < 0)
+
+    def test_ties_allowed_only_at_floor(self):
+        NoiseSchedule(steps=3, abar=[1.0, 0.5, ABAR_FLOOR, ABAR_FLOOR])
+        with pytest.raises(NumericsError, match="decreasing"):
+            NoiseSchedule(steps=3, abar=[1.0, 0.5, 0.5, ABAR_FLOOR])
+        with pytest.raises(NumericsError, match="decreasing"):
+            NoiseSchedule(steps=3, abar=[1.0, 0.5, ABAR_FLOOR, 0.25])
 
     def test_cosine_formula_midpoint(self):
         # direct evaluation of the clamped, normalized cosine square
@@ -130,19 +146,19 @@ class TestNoiseFeature:
 
 class TestLatentAction:
     def test_direction_validation(self, models):
-        z = Tensor(np.zeros((1, 4, 12), dtype=np.float32))
+        z = Tensor(np.zeros((1, 12), dtype=np.float32))
         with pytest.raises(NumericsError, match="direction"):
-            infer_latent_action(models.idm, z, z, "sideways")
+            infer_latent_action(models.idm, z, z, "sideways", "diff")
         with pytest.raises(NumericsError, match="input mode"):
             infer_latent_action(models.idm, z, z, "forward", "sum")
 
     def test_zero_difference_constancy(self, models, clouds):
-        z = encode_groups(models.online, models.tokenize([clouds[0], clouds[1]]))
-        a = infer_latent_action(models.idm, z, z, "forward")
-        b = infer_latent_action(models.idm, z, z, "forward")
+        z = pool(encode_groups(models.online, models.tokenize([clouds[0], clouds[1]])))
+        a = infer_latent_action(models.idm, z, z, "forward", "diff")
+        b = infer_latent_action(models.idm, z, z, "forward", "diff")
         assert np.array_equal(a.data, b.data)
-        za = encode_groups(models.online, models.tokenize([clouds[2], clouds[3]]))
-        c = infer_latent_action(models.idm, za, za, "forward")
+        za = pool(encode_groups(models.online, models.tokenize([clouds[2], clouds[3]])))
+        c = infer_latent_action(models.idm, za, za, "forward", "diff")
         assert np.allclose(a.data, c.data, atol=1e-6)
 
     def test_common_shift_invariance_bitwise(self, models):
@@ -150,13 +166,13 @@ class TestLatentAction:
         za = stream.normal((2, 4, 12), dtype=np.float32)
         zb = stream.normal((2, 4, 12), dtype=np.float32)
         shift = stream.normal((12,), dtype=np.float32)
-        a1 = infer_latent_action(models.idm, Tensor(za), Tensor(zb), "forward")
+        a1 = infer_latent_action(models.idm, pool(Tensor(za)), pool(Tensor(zb)), "forward", "diff")
         # token-wise common shift commutes through pooling; the difference
         # fed to the MLP must be bitwise unchanged for identical inputs
         diff1 = pool(Tensor(zb)).data - pool(Tensor(za)).data
         diff2 = pool(Tensor(zb + shift)).data - pool(Tensor(za + shift)).data
         assert np.allclose(diff1, diff2, atol=1e-6)
-        a2 = infer_latent_action(models.idm, Tensor(za), Tensor(zb), "forward")
+        a2 = infer_latent_action(models.idm, pool(Tensor(za)), pool(Tensor(zb)), "forward", "diff")
         assert np.array_equal(a1.data, a2.data)
 
     def test_backward_input_is_negated_forward_input(self, models):
@@ -166,15 +182,15 @@ class TestLatentAction:
         fwd_in = (pool(zb).data - pool(za).data)
         bwd_in = (pool(za).data - pool(zb).data)
         assert np.array_equal(fwd_in, -bwd_in)
-        fwd = infer_latent_action(models.idm, za, zb, "forward")
-        bwd = infer_latent_action(models.idm, za, zb, "backward")
+        fwd = infer_latent_action(models.idm, pool(za), pool(zb), "forward", "diff")
+        bwd = infer_latent_action(models.idm, pool(za), pool(zb), "backward", "diff")
         assert np.array_equal(fwd.data, idm_forward(models.idm, Tensor(fwd_in)).data)
         assert np.array_equal(bwd.data, idm_forward(models.idm, Tensor(bwd_in)).data)
 
     def test_output_dimension_from_config(self, models, tiny_cfg, clouds):
-        z1 = encode_groups(models.online, models.tokenize([clouds[0]]))
-        z2 = encode_groups(models.online, models.tokenize([clouds[4]]))
-        a = infer_latent_action(models.idm, z1, z2, "forward")
+        z1 = pool(encode_groups(models.online, models.tokenize([clouds[0]])))
+        z2 = pool(encode_groups(models.online, models.tokenize([clouds[4]])))
+        a = infer_latent_action(models.idm, z1, z2, "forward", "diff")
         assert a.shape == (1, tiny_cfg.action_dim)
 
     def test_concat_mode_orders_pair_by_direction(self, tiny_cfg):
@@ -183,8 +199,8 @@ class TestLatentAction:
         stream = RandomStream.derive(6, "concat")
         za = Tensor(stream.normal((1, 4, 12), dtype=np.float32))
         zb = Tensor(stream.normal((1, 4, 12), dtype=np.float32))
-        fwd = infer_latent_action(models.idm, za, zb, "forward", "concat")
-        swapped = infer_latent_action(models.idm, zb, za, "backward", "concat")
+        fwd = infer_latent_action(models.idm, pool(za), pool(zb), "forward", "concat")
+        swapped = infer_latent_action(models.idm, pool(zb), pool(za), "backward", "concat")
         assert np.array_equal(fwd.data, swapped.data)
 
 
@@ -212,13 +228,20 @@ class TestConditioning:
         z_pool = Tensor(stream.normal((1, 12), dtype=np.float32))
         a1 = Tensor(stream.normal((1, 5), dtype=np.float32))
         a2 = Tensor(stream.normal((1, 5), dtype=np.float32))
-        c1 = condition_vector(models.fdm, z_pool, a1, 3).data[0]
-        c2 = condition_vector(models.fdm, z_pool, a2, 3).data[0]
+        c1 = condition_vector(models.fdm, z_pool, a1, np.array([3])).data[0]
+        c2 = condition_vector(models.fdm, z_pool, a2, np.array([3])).data[0]
         w = tiny_cfg.cond_width
         z_part, action_part, time_part = slice(0, w), slice(w, 2 * w), slice(2 * w, 3 * w)
         assert np.array_equal(c1[z_part], c2[z_part])
         assert np.array_equal(c1[time_part], c2[time_part])
         assert not np.array_equal(c1[action_part], c2[action_part])
+
+
+def _head(w, b) -> ParamStore:
+    params = ParamStore()
+    params.add("head.w", w)
+    params.add("head.b", b)
+    return params
 
 
 class TestAdaLN:
@@ -228,7 +251,7 @@ class TestAdaLN:
         c = Tensor(stream.normal((2, 6), dtype=np.float32))
         w = Tensor(np.zeros((6, 16), dtype=np.float32))
         b = Tensor(np.zeros(16, dtype=np.float32))
-        out = adaln(x, c, w, b)
+        out = adaln(_head(w, b), "head", x, c)
         assert np.array_equal(out.data, layer_norm(x).data)
 
     def test_constant_tokens_give_beta(self):
@@ -237,7 +260,7 @@ class TestAdaLN:
         c = Tensor(stream.normal((1, 6), dtype=np.float32))
         w = Tensor(stream.normal((6, 16), dtype=np.float32))
         b = Tensor(stream.normal((16,), dtype=np.float32))
-        out = adaln(x, c, w, b)
+        out = adaln(_head(w, b), "head", x, c)
         gb = c.data @ w.data + b.data
         beta = gb[0, 8:]
         assert np.allclose(out.data[0], np.tile(beta, (3, 1)), atol=1e-6)
@@ -246,8 +269,8 @@ class TestAdaLN:
         x = Tensor(np.zeros((1, 2, 8), dtype=np.float32))
         c = Tensor(np.zeros((1, 6), dtype=np.float32))
         with pytest.raises(NumericsError, match="AdaLN head"):
-            adaln(x, c, Tensor(np.zeros((6, 10), dtype=np.float32)),
-                  Tensor(np.zeros(10, dtype=np.float32)))
+            adaln(_head(Tensor(np.zeros((6, 10), dtype=np.float32)),
+                        Tensor(np.zeros(10, dtype=np.float32))), "head", x, c)
 
 
 class TestFdmInit:
@@ -266,8 +289,7 @@ class TestFdmInit:
         z_noisy = Tensor(stream.normal((2, 4, 12), dtype=np.float32))
         z_cond = Tensor(stream.normal((2, 4, 12), dtype=np.float32))
         alpha = Tensor(stream.normal((2, 5), dtype=np.float32))
-        out = fdm_denoise(models.fdm, z_noisy, z_cond, alpha, np.array([2, 7]), models.sched,
-                          n_blocks=models.config.n_blocks)
+        out = fdm_denoise(models.fdm, z_noisy, z_cond, alpha, np.array([2, 7]), models.sched)
         ref = layer_norm(z_noisy).data
         assert np.abs(out.data - ref).max() <= 1e-6
 
@@ -279,8 +301,8 @@ class TestFdmInit:
         z_noisy = Tensor(stream.normal((1, 4, 12), dtype=np.float32))
         z_cond = Tensor(stream.normal((1, 4, 12), dtype=np.float32))
         alpha = Tensor(stream.normal((1, 5), dtype=np.float32))
-        a = fdm_denoise(models.fdm, z_noisy, z_cond, alpha, 3, models.sched)
-        b = fdm_denoise(models.fdm, z_noisy, z_cond, alpha, 3, models.sched)
+        a = fdm_denoise(models.fdm, z_noisy, z_cond, alpha, np.array([3]), models.sched)
+        b = fdm_denoise(models.fdm, z_noisy, z_cond, alpha, np.array([3]), models.sched)
         assert np.array_equal(a.data, b.data)
 
 

@@ -207,18 +207,18 @@ class TestEma:
 
 class TestMomentumSchedule:
     def test_start_value(self):
-        assert momentum_schedule(0, 1000) == pytest.approx(0.996)
+        assert momentum_schedule(0, 1000, 0.996) == pytest.approx(0.996)
 
     def test_end_value(self):
-        assert momentum_schedule(1000, 1000) == pytest.approx(1.0)
+        assert momentum_schedule(1000, 1000, 0.996) == pytest.approx(1.0)
 
     def test_midpoint(self):
-        assert momentum_schedule(500, 1000) == pytest.approx(0.998)
+        assert momentum_schedule(500, 1000, 0.996) == pytest.approx(0.998)
 
     def test_monotone(self):
-        values = [momentum_schedule(s, 100) for s in range(101)]
+        values = [momentum_schedule(s, 100, 0.996) for s in range(101)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(NumericsError):
-            momentum_schedule(5, 4)
+            momentum_schedule(5, 4, 0.996)

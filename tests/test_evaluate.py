@@ -180,7 +180,7 @@ class TestRunProbe:
         # the probe's pooled-difference fast path must agree with
         # infer_latent_action on the same pair
         from latentdyn.dynamics import infer_latent_action
-        from latentdyn.encoder import encode_groups
+        from latentdyn.encoder import encode_groups, pool
         from latentdyn.evaluate import _pooled_features, _probe_pairs
 
         state, trajs = setup
@@ -189,7 +189,8 @@ class TestRunProbe:
         alphas, _ = _probe_pairs(models, trajs[:1], state.config.k, pooled)
         z_t = encode_groups(models.online, models.tokenize([trajs[0].frames[0]]))
         z_tk = encode_groups(models.online, models.tokenize([trajs[0].frames[state.config.k]]))
-        ref = infer_latent_action(state.models.idm, z_t, z_tk, "forward").data[0]
+        ref = infer_latent_action(state.models.idm, pool(z_t), pool(z_tk), "forward",
+                                  state.config.idm_input).data[0]
         assert np.allclose(alphas[0], ref, atol=1e-5)
 
     def test_embedding_csv(self, setup, tmp_path):

@@ -337,7 +337,7 @@ class TestAdamW:
     def _setup(self, values, lr=1e-4, wd=0.0):
         params = ParamStore()
         params.add("p", Tensor(np.array(values), requires_grad=True))
-        opt = OptState.for_params(params, lr=lr, weight_decay=wd)
+        opt = OptState.for_params(params, lr=lr, beta1=0.9, beta2=0.999, weight_decay=wd)
         return params, opt
 
     @staticmethod

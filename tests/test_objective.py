@@ -15,11 +15,12 @@ from latentdyn.objective import (
     mse_only_loss,
     vicreg,
 )
+from latentdyn.trainer import TrainConfig
 
 
 @pytest.fixture
 def weights():
-    return VicregWeights()
+    return TrainConfig().vicreg_weights()
 
 
 def _whitened_batch(b, d, scale=2.0):
@@ -97,7 +98,7 @@ class TestVicregTerms:
 
     def test_weights_validation(self):
         with pytest.raises(NumericsError):
-            VicregWeights(invariance=-1.0)
+            VicregWeights(invariance=-1.0, variance=25.0, covariance=1.0, var_threshold=1.0)
 
 
 class TestMseOnly:
@@ -114,8 +115,11 @@ class TestMseOnly:
             mse_only_loss(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
 
 
-def _loss_on_clouds(models, ct, ctk, *args, **kwargs):
-    return bidirectional_loss(models, models.tokenize(ct), models.tokenize(ctk), *args, **kwargs)
+def _loss_on_clouds(models, ct, ctk, taus, ef, eh, w, objective="vicreg", no_history=False,
+                    token_level_inv=False):
+    return bidirectional_loss(models, models.tokenize(ct), models.tokenize(ctk), taus, ef, eh, w,
+                              objective=objective, no_history=no_history,
+                              token_level_inv=token_level_inv)
 
 
 class TestBidirectional:
@@ -168,10 +172,9 @@ class TestBidirectional:
         assert bd_swapped.total_future == pytest.approx(bd.total_history, rel=1e-6)
         assert bd_swapped.total_history == pytest.approx(bd.total_future, rel=1e-6)
 
-    def test_mse_objective_has_no_var_cov(self, setup):
+    def test_mse_objective_has_no_var_cov(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
-        _, bd = _loss_on_clouds(models, ct, ctk, taus, ef, eh, VicregWeights(),
-                                objective="mse")
+        _, bd = _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights, objective="mse")
         assert bd.var == 0.0 and bd.cov == 0.0
         assert bd.total == pytest.approx(bd.inv, rel=1e-6)
 
@@ -226,21 +229,25 @@ class TestBidirectional:
         eh = stream.normal((2, 3, 6))
 
         def loss():
-            total, _ = bidirectional_loss(models, ct, ctk, taus, ef, eh, weights)
+            total, _ = bidirectional_loss(models, ct, ctk, taus, ef, eh, weights,
+                                          objective="vicreg", no_history=False,
+                                          token_level_inv=False)
             return total
 
         # short warmup so the zero-initialized gates open and every
         # parameter group carries gradient
         from latentdyn.numerics import OptState, adamw_step
 
-        opt = OptState.for_params(combined, lr=3e-3)
+        opt = OptState.for_params(combined, lr=3e-3, beta1=0.9, beta2=0.999, weight_decay=0.0)
         warm = RandomStream.derive(15, "fd-warm")
         for _ in range(40):
             wt = warm.integers(1, 9, 2)
             wf = warm.normal((2, 3, 6))
             wh = warm.normal((2, 3, 6))
             combined.zero_grad()
-            total, _ = bidirectional_loss(models, ct, ctk, wt, wf, wh, weights)
+            total, _ = bidirectional_loss(models, ct, ctk, wt, wf, wh, weights,
+                                          objective="vicreg", no_history=False,
+                                          token_level_inv=False)
             total.backward()
             adamw_step(combined, opt)
 
