@@ -1,9 +1,12 @@
 """Command-line entry points: gen-data, pretrain, probe, embed, gradcheck.
 
 Configuration comes from a JSON file with flat dotted keys
-("scene.n_points", "train.lr", ...), overridable by flags; unknown keys
-are an error. The train.* keys are the fields of TrainConfig, which
-include every model hyperparameter (train.feat_dim, train.n_blocks, ...).
+("scene.n_points", "train.lr", ...), overridable by flags. The train.* keys
+are the fields of TrainConfig, which include every model hyperparameter
+(train.feat_dim, train.n_blocks, ...). Every config is checked where it is
+built, before any work starts: an unknown key, a value of the wrong type or
+an out-of-range value from a file or a flag exits 2, and the same in a
+checkpoint's config echo exits 4.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
 
@@ -13,13 +16,12 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .checks import run_gradcheck_suite
-from .data.geometry import DataError
-from .data.io import read_dataset, write_dataset
+from .data.geometry import DataError, kept_frames
+from .data.io import config_from_dict, read_dataset, write_dataset
 from .data.synthetic import SceneConfig, generate_trajectory, subsample_trajectory, trajectory_seed
 from .evaluate import export_embedding, run_probe, write_probe_report
 from .numerics import NumericsError
@@ -32,7 +34,7 @@ EXIT_IO = 4
 
 
 class ConfigError(ValueError):
-    """Unknown key, type mismatch, or missing required path."""
+    """Unreadable config file, unknown key, or a value of the wrong type or range."""
 
 
 @dataclass
@@ -48,33 +50,8 @@ class CliConfig:
         return out
 
 
-def _coerce(key: str, value, annotation):
-    origin = typing.get_origin(annotation)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"config key {key!r} must be a list, got {type(value).__name__}")
-        return tuple(float(v) for v in value)
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be a boolean")
-        return value
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r} must be an integer")
-        return value
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number")
-        return float(value)
-    if annotation is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string")
-        return value
-    raise ConfigError(f"config key {key!r} has unsupported type")
-
-
 def parse_config(path=None, overrides: dict | None = None) -> CliConfig:
-    """defaults -> file -> flag overrides, strict about unknown keys."""
+    """defaults -> file -> flag overrides, strict about keys, types and values."""
     entries: dict = {}
     if path is not None:
         try:
@@ -91,27 +68,15 @@ def parse_config(path=None, overrides: dict | None = None) -> CliConfig:
     if overrides:
         entries.update(overrides)
 
-    fields = {
-        f"scene.{f.name}": ("scene", f) for f in dataclasses.fields(SceneConfig)
-    }
-    fields.update({f"train.{f.name}": ("train", f) for f in dataclasses.fields(TrainConfig)})
-
-    values = {"scene": {}, "train": {}}
+    sections = {"scene": {}, "train": {}}
     for key, value in entries.items():
-        if key not in fields:
+        section, _, name = key.partition(".")
+        if section not in sections:
             raise ConfigError(f"unknown config key {key!r}")
-        section, fld = fields[key]
-        annotation = typing.get_type_hints(SceneConfig if section == "scene" else TrainConfig)[fld.name]
-        values[section][fld.name] = _coerce(key, value, annotation)
-
-    try:
-        cfg = CliConfig(scene=SceneConfig(**values["scene"]),
-                        train=TrainConfig(**values["train"]))
-        cfg.scene.validate()
-        cfg.train.validate()
-    except (DataError, NumericsError) as err:
-        raise ConfigError(str(err)) from err
-    return cfg
+        sections[section][name] = value
+    return CliConfig(
+        scene=config_from_dict(SceneConfig, sections["scene"], "scene.", ConfigError),
+        train=config_from_dict(TrainConfig, sections["train"], "train.", ConfigError))
 
 
 def _echo_config(cfg: CliConfig) -> None:
@@ -122,10 +87,13 @@ def _cmd_gen_data(args) -> int:
     cfg = parse_config(args.config)
     _echo_config(cfg)
     scene = cfg.scene
-    trajs = [generate_trajectory(scene, trajectory_seed(args.seed, i))
+    try:
+        kept_frames(range(scene.length), args.skip_frames, args.stride, 2)
+    except DataError as err:
+        raise ConfigError(f"--skip-frames/--stride: {err}") from err
+    trajs = [subsample_trajectory(generate_trajectory(scene, trajectory_seed(args.seed, i)),
+                                  args.skip_frames, args.stride)
              for i in range(scene.n_trajectories)]
-    if args.skip_frames or args.stride != 1:
-        trajs = [subsample_trajectory(t, args.skip_frames, args.stride) for t in trajs]
     write_dataset(trajs, args.out, config=scene, seed=args.seed)
     print(f"wrote {len(trajs)} trajectories to {args.out}")
     return EXIT_OK

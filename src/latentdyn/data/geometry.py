@@ -11,6 +11,13 @@ class DataError(ValueError):
     """Raised on degenerate inputs (empty clouds, bad AABBs, m > n)."""
 
 
+def check_at_least(config, **lows) -> None:
+    """DataError unless each named field of config is >= its bound; NaN is not."""
+    for name, low in lows.items():
+        if not getattr(config, name) >= low:
+            raise DataError(f"{name} must be >= {low}")
+
+
 @dataclass
 class PointCloud:
     """n x 3 points in meters."""
@@ -110,6 +117,17 @@ def fps(cloud: PointCloud, m: int, start_index: int = 0) -> PointCloud:
     return PointCloud(cloud.points[idx])
 
 
+def kept_frames(frames, skip_frames: int, stride: int, need: int):
+    """Every stride-th entry of frames after its first skip_frames; DataError
+    unless skip_frames >= 0, stride >= 1 and at least `need` entries are left."""
+    if skip_frames < 0 or stride < 1:
+        raise DataError("skip_frames must be >= 0 and stride >= 1")
+    kept = frames[skip_frames::stride]
+    if len(kept) < need:
+        raise DataError(f"skip/stride leave {len(kept)} of {len(frames)} frames, need {need}")
+    return kept
+
+
 def preprocess_depth_sequence(depths, intrinsics: CameraIntrinsics, aabb_min, aabb_max,
                               n_points: int = 1024, skip_frames: int = 0,
                               stride: int = 1) -> list[PointCloud]:
@@ -118,13 +136,8 @@ def preprocess_depth_sequence(depths, intrinsics: CameraIntrinsics, aabb_min, aa
     skip_frames drops the leading static frames and stride keeps every
     stride-th frame after that (defaults 0/1 leave the sequence untouched).
     """
-    if skip_frames < 0 or stride < 1:
-        raise DataError("skip_frames must be >= 0 and stride >= 1")
-    kept = list(depths)[skip_frames::stride]
-    if not kept:
-        raise DataError("no frames left after skip/stride")
     clouds = []
-    for depth in kept:
+    for depth in kept_frames(list(depths), skip_frames, stride, 1):
         cloud = crop_workspace(backproject_depth(depth, intrinsics), aabb_min, aabb_max)
         if cloud.n < n_points:
             raise DataError(f"only {cloud.n} points in workspace, need {n_points}")

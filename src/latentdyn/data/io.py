@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import typing
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -96,6 +97,43 @@ def json_object(raw: bytes, what: str, error: type[DataError]) -> dict:
     return obj
 
 
+def _has_type(value, annotation) -> bool:
+    """value is of exactly the annotated type, except that an int is a float."""
+    if isinstance(value, bool) != (annotation is bool):
+        return False
+    return isinstance(value, (int, float) if annotation is float else annotation)
+
+
+def config_from_dict(cls, entries: dict, prefix: str, error: type[Exception]):
+    """The config dataclass cls built from `entries`, a dict of field values
+    such as parsed JSON, with cls's defaults for the fields it leaves out.
+
+    Each value must have its field's annotated type; a tuple field takes a
+    list of exactly its length. An unknown key, a value of another type, or
+    a value that cls's own checks refuse raises `error`, naming the key as
+    prefix + field.
+    """
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, value in entries.items():
+        key = prefix + name
+        if name not in hints:
+            raise error(f"unknown config key {key!r}")
+        hint = hints[name]
+        is_tuple = typing.get_origin(hint) is tuple
+        types = typing.get_args(hint) if is_tuple else (hint,)
+        items = value if is_tuple else [value]
+        if not (isinstance(items, list) and len(items) == len(types)
+                and all(map(_has_type, items, types))):
+            expected = f"a list of {len(types)} numbers" if is_tuple else f"of type {hint.__name__}"
+            raise error(f"config key {key!r} must be {expected}, got {value!r}")
+        values[name] = tuple(t(v) for t, v in zip(types, value)) if is_tuple else hint(value)
+    try:
+        return cls(**values)
+    except DataError as err:
+        raise error(f"{prefix}{err}") from err
+
+
 def read_dataset(path) -> list[Trajectory]:
     path = Path(path)
     with open(path, "rb") as f:
@@ -134,6 +172,9 @@ def read_dataset(path) -> list[Trajectory]:
     if meta_path.exists():
         meta = json_object(meta_path.read_bytes(), str(meta_path), DatasetFormatError)
         descriptors = meta.get("descriptors")
+        if descriptors is not None and not (isinstance(descriptors, list) and all(
+                d is None or isinstance(d, dict) for d in descriptors)):
+            raise DatasetFormatError(f"{meta_path} descriptors are not a list of JSON objects")
         if descriptors and len(descriptors) == len(trajs):
             for traj, desc in zip(trajs, descriptors):
                 traj.descriptor = desc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..numerics.rng import RandomStream
-from .geometry import DataError, PointCloud
+from .geometry import DataError, PointCloud, check_at_least, kept_frames
 
 
 @dataclass
@@ -33,25 +33,20 @@ class SceneConfig:
     distractor_size_range: tuple[float, float] = (0.02, 0.05)
     n_trajectories: int = 200
 
-    def validate(self) -> None:
-        if self.n_points < 4:
-            raise DataError("n_points must be >= 4")
-        if self.length < 2:
-            raise DataError("trajectory length must be >= 2")
-        if self.n_movable < 1:
-            raise DataError("need at least one movable (actuated) object")
-        if self.n_distractors < 0:
-            raise DataError("n_distractors must be >= 0")
-        if self.action_max <= 0:
-            raise DataError("action bound must be positive")
+    def __post_init__(self):
+        check_at_least(self, n_points=4, length=2, n_movable=1, n_distractors=0,
+                       n_trajectories=1, depth_noise_std=0)
+        if not self.action_max > 0:
+            raise DataError("action_max must be > 0")
         if self.action_dim != 2:
-            raise DataError("planar pushes are 2-dimensional")
-        lo = np.asarray(self.workspace_min)
-        hi = np.asarray(self.workspace_max)
-        if not np.all(lo < hi):
-            raise DataError("workspace AABB must have min < max per axis")
+            raise DataError("action_dim must be 2: planar pushes are 2-dimensional")
+        if not np.all(np.asarray(self.workspace_min) < np.asarray(self.workspace_max)):
+            raise DataError("workspace_min must be < workspace_max on every axis")
         if not 0.0 < self.table_fraction < 1.0:
             raise DataError("table_fraction must be in (0, 1)")
+        for name in ("movable_size_range", "distractor_size_range"):
+            if not all(size > 0 for size in getattr(self, name)):
+                raise DataError(f"{name} must hold sizes > 0")
 
 
 @dataclass
@@ -128,7 +123,6 @@ def _allocate_points(cfg: SceneConfig, object_areas: np.ndarray) -> tuple[int, n
 def generate_trajectory(cfg: SceneConfig, seed: int) -> Trajectory:
     """Deterministic trajectory for a seed: scene layout, scripted actions
     and every per-frame surface resample come from one named stream."""
-    cfg.validate()
     stream = RandomStream.derive(seed, "trajectory")
     ws_lo = np.asarray(cfg.workspace_min, dtype=np.float64)
     ws_hi = np.asarray(cfg.workspace_max, dtype=np.float64)
@@ -230,13 +224,9 @@ def subsample_trajectory(traj: Trajectory, skip_frames: int = 0, stride: int = 1
     Actions between kept frames are the sums of the intermediate per-step
     actions, so centroid displacement still matches the recorded action.
     """
-    if skip_frames < 0 or stride < 1:
-        raise DataError("skip_frames must be >= 0 and stride >= 1")
     if skip_frames == 0 and stride == 1:
         return traj
-    kept = list(range(skip_frames, traj.length, stride))
-    if len(kept) < 2:
-        raise DataError("skip/stride leaves fewer than 2 frames")
+    kept = kept_frames(range(traj.length), skip_frames, stride, 2)
     frames = [traj.frames[i] for i in kept]
     actions = np.stack([traj.actions[a:b].sum(axis=0) for a, b in zip(kept[:-1], kept[1:])])
     return Trajectory(frames=frames, actions=actions.astype(traj.actions.dtype),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data.geometry import PointCloud
+from .data.geometry import DataError, PointCloud, check_at_least
 from .encoder import group_features, init_encoder_params, pool
 from .numerics import (
     NumericsError,
@@ -242,13 +242,11 @@ class ModelConfig:
     n_blocks: int = 4
     diffusion_steps: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.idm_input not in IDM_INPUT_MODES:
-            raise NumericsError(f"idm_input must be one of {IDM_INPUT_MODES}")
-        for name in ("feat_dim", "tokens", "group_size", "action_dim", "idm_hidden",
-                     "cond_width", "ffn_mult", "n_blocks", "diffusion_steps"):
-            if getattr(self, name) < 1:
-                raise NumericsError(f"{name} must be >= 1")
+            raise DataError(f"idm_input must be one of {IDM_INPUT_MODES}")
+        check_at_least(self, feat_dim=1, tokens=1, group_size=1, action_dim=1, idm_hidden=1,
+                       cond_width=1, ffn_mult=1, n_blocks=1, diffusion_steps=1)
 
     @property
     def idm_input_dim(self) -> int:
@@ -291,7 +289,6 @@ class Models:
 
 
 def init_models(cfg: ModelConfig, seed: int) -> Models:
-    cfg.validate()
     stream = RandomStream.derive(seed, "init")
     online = init_encoder_params(cfg.feat_dim, stream)
     target = online.copy(requires_grad=False)  # exact copy at step 0

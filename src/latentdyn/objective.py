@@ -28,18 +28,12 @@ _VAR_EPS = 1e-4
 @dataclass
 class VicregWeights:
     """Loss weights and the variance hinge; `TrainConfig.vicreg_weights`
-    makes them from the config's lambda_* fields."""
+    makes them from the config's lambda_* fields, which TrainConfig checks."""
 
     invariance: float
     variance: float
     covariance: float
     var_threshold: float
-
-    def __post_init__(self):
-        if min(self.invariance, self.variance, self.covariance) < 0:
-            raise NumericsError("loss weights must be >= 0")
-        if self.var_threshold < 0:
-            raise NumericsError("variance threshold must be >= 0")
 
 
 @dataclass

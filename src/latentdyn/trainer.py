@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data.geometry import DataError
-from .data.io import atomic_writer, json_object, read_exact
+from .data.geometry import DataError, check_at_least
+from .data.io import atomic_writer, config_from_dict, json_object, read_exact
 from .data.synthetic import Trajectory
 from .dynamics import ModelConfig, Models, init_models
 from .encoder import ema_update, momentum_schedule
@@ -70,18 +70,18 @@ class TrainConfig(ModelConfig):
     # bookkeeping
     checkpoint_every: int = 10
 
-    def validate(self) -> None:
-        if self.k < 1:
-            raise DataError("frame interval k must be >= 1")
-        if self.epochs < 1:
-            raise DataError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise DataError("batch_size must be >= 2 (batch statistics)")
-        if self.pairs_per_traj < 1:
-            raise DataError("pairs_per_traj must be >= 1")
+    def __post_init__(self):
+        super().__post_init__()
+        check_at_least(self, k=1, epochs=1, batch_size=2, pairs_per_traj=1, checkpoint_every=1,
+                       weight_decay=0, lambda_inv=0, lambda_var=0, lambda_cov=0, var_threshold=0)
+        if not self.lr > 0:
+            raise DataError("lr must be > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise DataError("beta1 and beta2 must be in [0, 1)")
+        if not 0 <= self.ema_m0 <= 1:
+            raise DataError("ema_m0 must be in [0, 1]")
         if self.objective not in ("vicreg", "mse"):
             raise DataError(f"objective must be vicreg or mse, got {self.objective!r}")
-        super().validate()
 
     @classmethod
     def desk_preset(cls, **overrides) -> "TrainConfig":
@@ -120,7 +120,6 @@ class TrainState:
 
 
 def init_train_state(cfg: TrainConfig, total_steps: int = 0) -> TrainState:
-    cfg.validate()
     models = init_models(cfg, cfg.seed)
     trainable = models.trainables()
     opt = OptState.for_params(trainable, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
@@ -141,9 +140,8 @@ def training_step(state: TrainState, feats_t: np.ndarray, feats_tk: np.ndarray,
     if b < 2:
         raise DataError("training batch must have >= 2 pairs")
     t0 = time.perf_counter()
-    m_cfg = state.models.config
-    shape = (b, m_cfg.tokens, m_cfg.feat_dim)
-    taus = state.noise_stream.integers(1, m_cfg.diffusion_steps + 1, b)
+    shape = (b, cfg.tokens, cfg.feat_dim)
+    taus = state.noise_stream.integers(1, cfg.diffusion_steps + 1, b)
     eps_future = state.noise_stream.normal(shape, dtype=np.float32)
     eps_history = None if cfg.no_history else state.noise_stream.normal(shape, dtype=np.float32)
 
@@ -200,7 +198,6 @@ def train(cfg: TrainConfig, dataset: list[Trajectory], out_dir,
     step). Resuming from an epoch-boundary checkpoint reproduces the
     uninterrupted run bit-for-bit.
     """
-    cfg.validate()
     if not dataset:
         raise DataError("training dataset is empty")
     for i, traj in enumerate(dataset):
@@ -344,13 +341,7 @@ def load_checkpoint(path) -> TrainState:
         if f.read(1):
             raise CheckpointFormatError("trailing bytes after checkpoint payload")
 
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(cfg_dict) - known
-    if unknown:
-        raise CheckpointFormatError(f"unknown config keys in checkpoint: {sorted(unknown)}")
-    cfg = TrainConfig(**cfg_dict)
-
-    state = init_train_state(cfg)
+    state = init_train_state(config_from_dict(TrainConfig, cfg_dict, "", CheckpointFormatError))
     state.step = step
     destinations = _checkpoint_tensors(state)
     if order != [name for name, _ in destinations]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -9,7 +10,14 @@ import numpy as np
 import pytest
 
 from latentdyn.cli import ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_OK, main, parse_config
-from latentdyn.data import DatasetFormatError, generate_trajectory, read_dataset, write_dataset
+from latentdyn.data import (
+    DatasetFormatError,
+    SceneConfig,
+    generate_trajectory,
+    read_dataset,
+    write_dataset,
+)
+from latentdyn.data.io import config_from_dict
 from latentdyn.trainer import TrainConfig, init_train_state, save_checkpoint
 
 
@@ -20,6 +28,25 @@ TINY = {
     "train.action_dim": 5, "train.idm_hidden": 10, "train.cond_width": 8,
     "train.ffn_mult": 2, "train.diffusion_steps": 10, "train.seed": 6,
 }
+
+
+# Config file entries that are refused, each with the key its error names.
+REFUSED_ENTRIES = [
+    {"train.batch_size": 1},
+    {"train.checkpoint_every": 0},
+    {"train.lambda_var": -1},
+    {"train.lambda_var": float("nan")},
+    {"train.ema_m0": 2},
+    {"train.beta1": 1},
+    {"train.lr": -1},
+    {"train.lr": float("nan")},
+    {"scene.workspace_min": [-1]},
+    {"scene.workspace_min": ["a", 0, 0]},
+    {"scene.workspace_min": [True, 0, 0]},
+    {"scene.movable_size_range": [-0.5, -0.4]},
+    {"scene.depth_noise_std": -1},
+    {"scene.n_trajectories": 0},
+]
 
 
 @pytest.fixture
@@ -76,11 +103,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(path)
 
-    def test_invalid_values_rejected(self, tmp_path):
+    @pytest.mark.parametrize("entries", REFUSED_ENTRIES)
+    def test_invalid_values_rejected(self, tmp_path, entries):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"train.batch_size": 1}))
-        with pytest.raises(ConfigError):
+        path.write_text(json.dumps(entries))
+        with pytest.raises(ConfigError, match=re.escape(next(iter(entries)))):
             parse_config(path)
+
+    @pytest.mark.parametrize("cfg", [SceneConfig(), TrainConfig(), TrainConfig.desk_preset()])
+    def test_config_round_trips_through_json(self, cfg):
+        entries = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert config_from_dict(type(cfg), entries, "", ValueError) == cfg
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -106,6 +139,25 @@ class TestExitCodes:
         bad.write_text(json.dumps({"leanring_rate": 1.0}))
         code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d.afro")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain"])
+    @pytest.mark.parametrize("entries", REFUSED_ENTRIES)
+    def test_refused_value_exit_2_before_any_work(self, tmp_path, capsys, command, entries):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, **entries}))
+        out = tmp_path / "out"
+        data = ["--data", str(tmp_path / "missing.afro")] if command == "pretrain" else []
+        assert main([command, "--config", str(path), "--out", str(out), *data]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--stride", "0"], ["--skip-frames", "-1"],
+                                       ["--skip-frames", "5"]])
+    def test_gen_data_refused_skip_stride_exit_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "scene.length": 6}))
+        out = tmp_path / "d.afro"
+        assert main(["gen-data", "--config", str(path), "--out", str(out), *flags]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_missing_data_exit_4(self, tmp_path):
         code = main(["pretrain", "--data", str(tmp_path / "missing.afro"),
@@ -142,13 +194,17 @@ class TestCorruptInputsExit4:
         echo = json.dumps(dataclasses.asdict(cfg.train), sort_keys=True).encode("utf-8")
         return ckpt, data, echo
 
-    @pytest.mark.parametrize("new_echo", ["utf8", b"{not json", b"[1, 2]"])
+    @pytest.mark.parametrize("new_echo", [
+        "utf8", b"{not json", b"[1, 2]", {"feat_dim": "x"}, {"feat_dim": 0}, {"n_blocks": 0},
+        {"lambda_var": -1}, {"lr": float("nan")}, {"leanring_rate": 1e-4}])
     def test_bad_config_echo(self, inputs, tmp_path, new_echo):
         ckpt, data, echo = inputs
         buf = ckpt.read_bytes()
         assert buf.endswith(struct.pack("<I", len(echo)) + echo)
         if new_echo == "utf8":
             new_echo = echo + b"\xff" * 5
+        elif isinstance(new_echo, dict):
+            new_echo = json.dumps({**json.loads(echo), **new_echo}).encode("utf-8")
         ckpt.write_bytes(buf[:-len(echo) - 4] + struct.pack("<I", len(new_echo)) + new_echo)
         assert _probe_exit(tmp_path, ckpt, data) == EXIT_IO
 
@@ -159,7 +215,8 @@ class TestCorruptInputsExit4:
         ckpt.write_bytes(bytes(buf))
         assert _probe_exit(tmp_path, ckpt, data) == EXIT_IO
 
-    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", "\xff"])
+    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", "\xff", '{"descriptors": 5}',
+                                         '{"descriptors": [5]}'])
     def test_bad_sidecar(self, inputs, tmp_path, sidecar):
         ckpt, data, _ = inputs
         assert _probe_exit(tmp_path, ckpt, data) == EXIT_OK

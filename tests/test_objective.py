@@ -9,7 +9,6 @@ from latentdyn.encoder import encode_groups, pool
 from latentdyn.numerics import NumericsError, RandomStream, Tensor
 from latentdyn.objective import (
     LossBreakdown,
-    VicregWeights,
     bidirectional_loss,
     combine_vicreg,
     mse_only_loss,
@@ -95,10 +94,6 @@ class TestVicregTerms:
         x = _whitened_batch(4, 3)
         out = vicreg(Tensor(x), Tensor(x.copy()), weights)
         assert out["cov"].item() == pytest.approx(0.0, abs=1e-12)
-
-    def test_weights_validation(self):
-        with pytest.raises(NumericsError):
-            VicregWeights(invariance=-1.0, variance=25.0, covariance=1.0, var_threshold=1.0)
 
 
 class TestMseOnly:

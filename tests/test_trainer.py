@@ -330,11 +330,13 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(DataError):
-            tiny_config(batch_size=1).validate()
+            tiny_config(batch_size=1)
         with pytest.raises(DataError):
-            tiny_config(objective="l2").validate()
+            tiny_config(objective="l2")
         with pytest.raises(DataError):
-            tiny_config(k=0).validate()
+            tiny_config(k=0)
+        with pytest.raises(DataError):
+            TrainConfig(lambda_inv=-1)
 
     def test_steps_per_epoch_drops_singleton_remainder(self):
         cfg = tiny_config(batch_size=4, pairs_per_traj=1)
