@@ -7,7 +7,8 @@ Little-endian layout:
 
 A sidecar "<path>.meta.json" carries the generator config, the global
 seed, and the per-trajectory scene descriptors (not representable in the
-fixed binary layout). Both files are written through ``atomic_writer``, so
+fixed binary layout); a subsampled trajectory's descriptor lists its kept
+generator frames. Both files are written through ``atomic_writer``, so
 a crash mid-write leaves the previous file in place. Readers go through
 ``read_exact``, which refuses any header size larger than the bytes left.
 """
@@ -50,8 +51,7 @@ def atomic_writer(path, mode: str = "wb", **kwargs):
         raise
 
 
-def write_dataset(trajs: list[Trajectory], path, config: SceneConfig | None = None,
-                  seed: int | None = None) -> None:
+def write_dataset(trajs: list[Trajectory], path, config: SceneConfig, seed: int) -> None:
     if not trajs:
         raise DataError("refusing to write an empty dataset")
     with atomic_writer(path) as f:
@@ -65,7 +65,7 @@ def write_dataset(trajs: list[Trajectory], path, config: SceneConfig | None = No
             f.write(frames.tobytes())
             f.write(actions.tobytes())
     meta = {
-        "config": asdict(config) if config is not None else None,
+        "config": asdict(config),
         "seed": seed,
         "descriptors": [t.descriptor for t in trajs],
     }
@@ -108,10 +108,9 @@ def config_from_dict(cls, entries: dict, prefix: str, error: type[Exception]):
     """The config dataclass cls built from `entries`, a dict of field values
     such as parsed JSON, with cls's defaults for the fields it leaves out.
 
-    Each value must have its field's annotated type; a tuple field takes a
-    list of exactly its length. An unknown key, a value of another type, or
-    a value that cls's own checks refuse raises `error`, naming the key as
-    prefix + field.
+    Each value must have its field's annotated type. An unknown key, a
+    value of another type, or a value that cls's own checks refuse raises
+    `error`, naming the key as prefix + field.
     """
     hints = typing.get_type_hints(cls)
     values = {}
@@ -120,14 +119,9 @@ def config_from_dict(cls, entries: dict, prefix: str, error: type[Exception]):
         if name not in hints:
             raise error(f"unknown config key {key!r}")
         hint = hints[name]
-        is_tuple = typing.get_origin(hint) is tuple
-        types = typing.get_args(hint) if is_tuple else (hint,)
-        items = value if is_tuple else [value]
-        if not (isinstance(items, list) and len(items) == len(types)
-                and all(map(_has_type, items, types))):
-            expected = f"a list of {len(types)} numbers" if is_tuple else f"of type {hint.__name__}"
-            raise error(f"config key {key!r} must be {expected}, got {value!r}")
-        values[name] = tuple(t(v) for t, v in zip(types, value)) if is_tuple else hint(value)
+        if not _has_type(value, hint):
+            raise error(f"config key {key!r} must be of type {hint.__name__}, got {value!r}")
+        values[name] = hint(value)
     try:
         return cls(**values)
     except DataError as err:
@@ -172,10 +166,11 @@ def read_dataset(path) -> list[Trajectory]:
     if meta_path.exists():
         meta = json_object(meta_path.read_bytes(), str(meta_path), DatasetFormatError)
         descriptors = meta.get("descriptors")
-        if descriptors is not None and not (isinstance(descriptors, list) and all(
-                d is None or isinstance(d, dict) for d in descriptors)):
-            raise DatasetFormatError(f"{meta_path} descriptors are not a list of JSON objects")
-        if descriptors and len(descriptors) == len(trajs):
+        if descriptors is not None:
+            if not (isinstance(descriptors, list) and len(descriptors) == len(trajs) and all(
+                    d is None or isinstance(d, dict) for d in descriptors)):
+                raise DatasetFormatError(
+                    f"{meta_path} descriptors are not a list of {len(trajs)} JSON objects")
             for traj, desc in zip(trajs, descriptors):
                 traj.descriptor = desc
     return trajs

@@ -16,43 +16,32 @@ import numpy as np
 from ..numerics.rng import RandomStream
 from .geometry import DataError, PointCloud, check_at_least, kept_frames
 
+WORKSPACE_MIN = (-0.4, -0.4, 0.0)  # meters; the table covers the workspace's xy
+WORKSPACE_MAX = (0.4, 0.4, 0.4)
+TABLE_FRACTION = 0.4  # share of each frame's points on the table
+ACTUATED_SIZE_RANGE = (0.04, 0.08)  # box edge lengths, uniform on each axis
+DISTRACTOR_SIZE_RANGE = (0.02, 0.05)
+DEPTH_NOISE_STD = 0.002  # Gaussian noise on z, clipped at the table plane
+
 
 @dataclass
 class SceneConfig:
     n_points: int = 512
     length: int = 40
-    n_movable: int = 1
     n_distractors: int = 2
     action_max: float = 0.03
-    action_dim: int = 2
-    workspace_min: tuple[float, float, float] = (-0.4, -0.4, 0.0)
-    workspace_max: tuple[float, float, float] = (0.4, 0.4, 0.4)
-    depth_noise_std: float = 0.002
-    table_fraction: float = 0.4
-    movable_size_range: tuple[float, float] = (0.04, 0.08)
-    distractor_size_range: tuple[float, float] = (0.02, 0.05)
     n_trajectories: int = 200
 
     def __post_init__(self):
-        check_at_least(self, n_points=4, length=2, n_movable=1, n_distractors=0,
-                       n_trajectories=1, depth_noise_std=0)
+        check_at_least(self, n_points=4, length=2, n_distractors=0, n_trajectories=1)
         if not self.action_max > 0:
             raise DataError("action_max must be > 0")
-        if self.action_dim != 2:
-            raise DataError("action_dim must be 2: planar pushes are 2-dimensional")
-        if not np.all(np.asarray(self.workspace_min) < np.asarray(self.workspace_max)):
-            raise DataError("workspace_min must be < workspace_max on every axis")
-        if not 0.0 < self.table_fraction < 1.0:
-            raise DataError("table_fraction must be in (0, 1)")
-        for name in ("movable_size_range", "distractor_size_range"):
-            if not all(size > 0 for size in getattr(self, name)):
-                raise DataError(f"{name} must hold sizes > 0")
 
 
 @dataclass
 class Trajectory:
     frames: list[PointCloud]
-    actions: np.ndarray  # (L-1, action_dim), the applied per-step push
+    actions: np.ndarray  # (L-1, 2), the applied per-step planar push
     seed: int
     descriptor: dict | None = None
 
@@ -105,7 +94,7 @@ def _sample_box_surface(draws: np.ndarray, size: np.ndarray) -> np.ndarray:
 def _allocate_points(cfg: SceneConfig, object_areas: np.ndarray) -> tuple[int, np.ndarray]:
     """Split the point budget: fixed table share, rest by surface area
     (largest-remainder rounding, at least 4 points per object)."""
-    n_table = int(round(cfg.n_points * cfg.table_fraction))
+    n_table = int(round(cfg.n_points * TABLE_FRACTION))
     remaining = cfg.n_points - n_table
     n_objects = len(object_areas)
     if remaining < 4 * n_objects:
@@ -124,29 +113,18 @@ def generate_trajectory(cfg: SceneConfig, seed: int) -> Trajectory:
     """Deterministic trajectory for a seed: scene layout, scripted actions
     and every per-frame surface resample come from one named stream."""
     stream = RandomStream.derive(seed, "trajectory")
-    ws_lo = np.asarray(cfg.workspace_min, dtype=np.float64)
-    ws_hi = np.asarray(cfg.workspace_max, dtype=np.float64)
+    ws_lo = np.asarray(WORKSPACE_MIN, dtype=np.float64)
+    ws_hi = np.asarray(WORKSPACE_MAX, dtype=np.float64)
 
-    # Scene layout: movable boxes first (index 0 actuated), then distractors.
-    sizes = []
-    roles = []
-    for i in range(cfg.n_movable):
-        lo, hi = cfg.movable_size_range
-        sizes.append(lo + (hi - lo) * stream.uniform(3))
-        roles.append("actuated" if i == 0 else "static")
-    for _ in range(cfg.n_distractors):
-        lo, hi = cfg.distractor_size_range
-        sizes.append(lo + (hi - lo) * stream.uniform(3))
-        roles.append("static")
-    sizes = [np.asarray(s) for s in sizes]
+    # Scene layout: the actuated box, then the static distractors.
+    ranges = [ACTUATED_SIZE_RANGE] + [DISTRACTOR_SIZE_RANGE] * cfg.n_distractors
+    sizes = [lo + (hi - lo) * stream.uniform(3) for lo, hi in ranges]
 
     centers = []
     for size in sizes:
         margin = size / 2.0 + 0.01
         lo = ws_lo[:2] + margin[:2]
         hi = ws_hi[:2] - margin[:2]
-        if np.any(lo >= hi):
-            raise DataError("workspace too small for configured object sizes")
         xy = lo + (hi - lo) * stream.uniform(2)
         centers.append(np.array([xy[0], xy[1], size[2] / 2.0]))
 
@@ -178,7 +156,7 @@ def generate_trajectory(cfg: SceneConfig, seed: int) -> Trajectory:
         "objects": [
             {
                 "kind": "box",
-                "role": roles[i],
+                "role": "actuated" if i == 0 else "static",
                 "size": sizes[i].tolist(),
                 "center": centers[i].tolist(),
                 "n_points": int(obj_counts[i]),
@@ -186,10 +164,10 @@ def generate_trajectory(cfg: SceneConfig, seed: int) -> Trajectory:
             for i in range(len(sizes))
         ],
         "table": {"n_points": n_table},
-        "depth_noise_std": cfg.depth_noise_std,
+        "depth_noise_std": DEPTH_NOISE_STD,
     }
 
-    # Frame layout: [actuated pts | other objects | table], counts above.
+    # Frame layout: [actuated pts | distractors | table], counts above.
     frames = []
     table_span = ws_hi[:2] - ws_lo[:2]
     # Each frame's uniforms in one draw: per object [face | u | v], then the
@@ -199,14 +177,13 @@ def generate_trajectory(cfg: SceneConfig, seed: int) -> Trajectory:
         draws = stream.uniform(int(ends[-1]) + 2 * n_table)
         parts = []
         for i, box_draws in enumerate(np.split(draws[:ends[-1]], ends[:-1])):
-            center = actuated_path[t] if roles[i] == "actuated" else centers[i]
+            center = actuated_path[t] if i == 0 else centers[i]
             parts.append(_sample_box_surface(box_draws, sizes[i]) + center)
         table_xy = ws_lo[:2] + table_span * draws[ends[-1]:].reshape(n_table, 2)
         parts.append(np.concatenate([table_xy, np.zeros((n_table, 1))], axis=1))
         pts = np.concatenate(parts, axis=0)
-        if cfg.depth_noise_std > 0:
-            pts[:, 2] += cfg.depth_noise_std * stream.normal(pts.shape[0])
-            np.maximum(pts[:, 2], 0.0, out=pts[:, 2])
+        pts[:, 2] += DEPTH_NOISE_STD * stream.normal(pts.shape[0])
+        np.maximum(pts[:, 2], 0.0, out=pts[:, 2])
         frames.append(PointCloud(pts.astype(np.float32)))
 
     return Trajectory(frames=frames, actions=actions.astype(np.float32), seed=seed,
@@ -223,6 +200,7 @@ def subsample_trajectory(traj: Trajectory, skip_frames: int = 0, stride: int = 1
 
     Actions between kept frames are the sums of the intermediate per-step
     actions, so centroid displacement still matches the recorded action.
+    A copy of the descriptor lists the kept generator frames under "frames".
     """
     if skip_frames == 0 and stride == 1:
         return traj
@@ -230,4 +208,4 @@ def subsample_trajectory(traj: Trajectory, skip_frames: int = 0, stride: int = 1
     frames = [traj.frames[i] for i in kept]
     actions = np.stack([traj.actions[a:b].sum(axis=0) for a, b in zip(kept[:-1], kept[1:])])
     return Trajectory(frames=frames, actions=actions.astype(traj.actions.dtype),
-                      seed=traj.seed, descriptor=traj.descriptor)
+                      seed=traj.seed, descriptor={**(traj.descriptor or {}), "frames": list(kept)})

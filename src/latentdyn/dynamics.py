@@ -2,8 +2,9 @@
 
 Features and latent actions are plain Tensors: (..., M, D) tokens from
 `encoder.encode_groups` and (..., action_dim) actions. `branch_predict`
-decides which encoder's tokens feed which input and which direction the
-action explains.
+explains the move from one encoded frame to another and denoises toward
+the teacher's encoding of the second: the future branch runs it on
+(t, t+k), the history branch on (t+k, t).
 
 The IDM is a 3-layer GELU MLP over pooled feature differences (or raw
 concatenated pooled pairs under the leakage ablation). The FDM is a DiT
@@ -41,7 +42,6 @@ from .numerics import (
     sub,
 )
 
-DIRECTIONS = ("forward", "backward")
 IDM_INPUT_MODES = ("diff", "concat")
 SINUSOID_DIM = 32  # width of the timestep embedding fed to the cond.t MLP
 SCHEDULE_OFFSET = 0.008  # cosine-schedule offset s (Nichol & Dhariwal 2021)
@@ -111,26 +111,16 @@ def idm_forward(params: ParamStore, x: Tensor) -> Tensor:
     return dense(params, "fc3", h)
 
 
-def infer_latent_action(params: ParamStore, pa: Tensor, pb: Tensor,
-                        direction: str, input_mode: str) -> Tensor:
-    """Latent action for the temporally ordered pair of pooled (..., D)
-    features (pa, pb) = (t, t+k).
-
-    forward explains t -> t+k from pb - pa; backward explains t+k -> t from
-    the negated difference. Under input_mode="concat" the MLP sees the raw
-    pooled pair instead (the feature-leakage ablation), with the pair order
-    swapped for the backward direction.
+def infer_latent_action(params: ParamStore, pa: Tensor, pb: Tensor, input_mode: str) -> Tensor:
+    """Latent action explaining the move pa -> pb between pooled (..., D)
+    features, from pb - pa. Under input_mode="concat" the MLP sees the raw
+    pooled pair [pa | pb] instead (the feature-leakage ablation).
     """
-    if direction not in DIRECTIONS:
-        raise NumericsError(f"unknown direction {direction!r}")
     if input_mode not in IDM_INPUT_MODES:
         raise NumericsError(f"unknown idm input mode {input_mode!r}")
     if pa.shape != pb.shape:
         raise NumericsError(f"feature shape mismatch: {pa.shape} vs {pb.shape}")
-    if input_mode == "diff":
-        inp = sub(pb, pa) if direction == "forward" else sub(pa, pb)
-    else:
-        inp = concat([pa, pb], axis=-1) if direction == "forward" else concat([pb, pa], axis=-1)
+    inp = sub(pb, pa) if input_mode == "diff" else concat([pa, pb], axis=-1)
     return idm_forward(params, inp)
 
 
@@ -298,16 +288,11 @@ def init_models(cfg: ModelConfig, seed: int) -> Models:
     return Models(config=cfg, online=online, target=target, idm=idm, fdm=fdm)
 
 
-def branch_predict(models: Models, z_t: Tensor, z_tk: Tensor, z_teacher: Tensor, tau,
-                   eps: np.ndarray, direction: str) -> Tensor:
-    """One prediction branch over already-encoded features.
-
-    forward: condition on z_t, denoise toward the teacher's t+k feature.
-    backward: condition on z_tk, denoise toward the teacher's t feature.
-    (z_t, z_tk) are always passed in temporal order.
-    """
-    action = infer_latent_action(models.idm, pool(z_t), pool(z_tk), direction,
-                                 models.config.idm_input)
-    z_cond = z_t if direction == "forward" else z_tk
+def branch_predict(models: Models, z_from: Tensor, z_to: Tensor, z_teacher: Tensor, tau,
+                   eps: np.ndarray) -> Tensor:
+    """One prediction branch over already-encoded features: the latent
+    action of z_from -> z_to, then a denoise conditioned on z_from toward
+    z_teacher, the teacher's encoding of z_to's frames."""
+    action = infer_latent_action(models.idm, pool(z_from), pool(z_to), models.config.idm_input)
     z_noisy = noise_feature(z_teacher, tau, eps, models.sched)
-    return fdm_denoise(models.fdm, z_noisy, z_cond, action, tau, models.sched)
+    return fdm_denoise(models.fdm, z_noisy, z_from, action, tau, models.sched)

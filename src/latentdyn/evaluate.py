@@ -139,8 +139,7 @@ def _probe_pairs(models: Models, trajs: list[Trajectory], k: int,
             raise DataError(f"trajectory too short for interval k={k}")
         ts = np.arange(traj.length - k)
         alpha_rows.append(infer_latent_action(models.idm, Tensor(pooled[ts]),
-                                              Tensor(pooled[ts + k]), "forward",
-                                              models.config.idm_input).data)
+                                              Tensor(pooled[ts + k]), models.config.idm_input).data)
         cum = np.cumsum(np.concatenate([np.zeros((1, traj.actions.shape[1])),
                                         traj.actions], axis=0), axis=0)
         action_rows.append(cum[ts + k] - cum[ts])

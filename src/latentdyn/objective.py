@@ -129,7 +129,7 @@ def bidirectional_loss(models: Models, feats_t: np.ndarray, feats_tk: np.ndarray
     z_tk = encode_groups(models.online, feats_tk)
     teacher_tk = encode_groups(models.target, feats_tk)
 
-    pred_f = branch_predict(models, z_t, z_tk, teacher_tk, taus, eps_future, "forward")
+    pred_f = branch_predict(models, z_t, z_tk, teacher_tk, taus, eps_future)
     terms_f = _branch_terms(pred_f, teacher_tk, w, objective, token_level_inv)
 
     if no_history:
@@ -137,7 +137,7 @@ def bidirectional_loss(models: Models, feats_t: np.ndarray, feats_tk: np.ndarray
         terms_h = {"inv": zero, "var": zero, "cov": zero, "total": zero}
     else:
         teacher_t = encode_groups(models.target, feats_t)
-        pred_h = branch_predict(models, z_t, z_tk, teacher_t, taus, eps_history, "backward")
+        pred_h = branch_predict(models, z_tk, z_t, teacher_t, taus, eps_history)
         terms_h = _branch_terms(pred_h, teacher_t, w, objective, token_level_inv)
 
     sums = {key: terms_f[key].item() + terms_h[key].item()

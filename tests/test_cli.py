@@ -40,11 +40,7 @@ REFUSED_ENTRIES = [
     {"train.beta1": 1},
     {"train.lr": -1},
     {"train.lr": float("nan")},
-    {"scene.workspace_min": [-1]},
-    {"scene.workspace_min": ["a", 0, 0]},
-    {"scene.workspace_min": [True, 0, 0]},
-    {"scene.movable_size_range": [-0.5, -0.4]},
-    {"scene.depth_noise_std": -1},
+    {"scene.workspace_min": [-0.4, -0.4, 0.0]},
     {"scene.n_trajectories": 0},
 ]
 
@@ -216,7 +212,7 @@ class TestCorruptInputsExit4:
         assert _probe_exit(tmp_path, ckpt, data) == EXIT_IO
 
     @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", "\xff", '{"descriptors": 5}',
-                                         '{"descriptors": [5]}'])
+                                         '{"descriptors": [5]}', '{"descriptors": [{}]}'])
     def test_bad_sidecar(self, inputs, tmp_path, sidecar):
         ckpt, data, _ = inputs
         assert _probe_exit(tmp_path, ckpt, data) == EXIT_OK
@@ -309,3 +305,9 @@ class TestPipeline:
                      "--skip-frames", "2", "--stride", "2"]) == EXIT_OK
         trajs = read_dataset(data)
         assert all(t.length == 3 for t in trajs)  # frames 2, 4, 6 of 8
+        assert all(t.descriptor["frames"] == [2, 4, 6] for t in trajs)
+        full = tmp_path / "f.afro"
+        assert main(["gen-data", "--config", str(tiny_config_path), "--out", str(full)]) == EXIT_OK
+        assert all("frames" not in t.descriptor for t in read_dataset(full))
+        sidecars = [Path(f"{path}.meta.json").read_bytes() for path in (data, full)]
+        assert sidecars[0] != sidecars[1]

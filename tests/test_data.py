@@ -22,7 +22,13 @@ from latentdyn.data import (
     trajectory_seed,
     write_dataset,
 )
-from latentdyn.data.synthetic import _sample_box_surface, subsample_trajectory
+from latentdyn.data.synthetic import (
+    DEPTH_NOISE_STD,
+    WORKSPACE_MAX,
+    WORKSPACE_MIN,
+    _sample_box_surface,
+    subsample_trajectory,
+)
 from latentdyn.numerics import RandomStream
 
 
@@ -213,8 +219,8 @@ def reference_frames(cfg: SceneConfig, traj) -> list[np.ndarray]:
         applied = np.copysign(np.abs(drawn), recorded)
         pos = path[-1][:2] + applied
         path.append(np.array([pos[0], pos[1], path[0][2]]))
-    ws_lo = np.asarray(cfg.workspace_min, dtype=np.float64)
-    table_span = np.asarray(cfg.workspace_max, dtype=np.float64)[:2] - ws_lo[:2]
+    ws_lo = np.asarray(WORKSPACE_MIN, dtype=np.float64)
+    table_span = np.asarray(WORKSPACE_MAX, dtype=np.float64)[:2] - ws_lo[:2]
     n_table = traj.descriptor["table"]["n_points"]
     frames = []
     for t in range(traj.length):
@@ -224,7 +230,7 @@ def reference_frames(cfg: SceneConfig, traj) -> list[np.ndarray]:
         table_xy = ws_lo[:2] + table_span * stream.uniform(2 * n_table).reshape(n_table, 2)
         parts.append(np.concatenate([table_xy, np.zeros((n_table, 1))], axis=1))
         pts = np.concatenate(parts, axis=0)
-        pts[:, 2] += cfg.depth_noise_std * stream.normal(pts.shape[0])
+        pts[:, 2] += DEPTH_NOISE_STD * stream.normal(pts.shape[0])
         np.maximum(pts[:, 2], 0.0, out=pts[:, 2])
         frames.append(pts.astype(np.float32))
     return frames
@@ -329,8 +335,6 @@ class TestTrajectoryGeneration:
 
     def test_degenerate_config_rejected(self):
         with pytest.raises(DataError):
-            generate_trajectory(SceneConfig(n_points=96, length=6, n_movable=0), 0)
-        with pytest.raises(DataError):
             generate_trajectory(SceneConfig(n_points=2, length=6), 0)
 
     def test_actuated_stays_in_workspace(self):
@@ -339,8 +343,8 @@ class TestTrajectoryGeneration:
         n_obj = traj.descriptor["objects"][0]["n_points"]
         for f in traj.frames:
             c = f.points[:n_obj].mean(axis=0)
-            assert np.all(c[:2] > np.array(cfg.workspace_min[:2]) - 1e-6)
-            assert np.all(c[:2] < np.array(cfg.workspace_max[:2]) + 1e-6)
+            assert np.all(c[:2] > np.array(WORKSPACE_MIN[:2]) - 1e-6)
+            assert np.all(c[:2] < np.array(WORKSPACE_MAX[:2]) + 1e-6)
 
 
 class TestSubsample:
@@ -351,6 +355,8 @@ class TestSubsample:
         assert sub.length == 3  # frames 1, 4, 7
         assert np.allclose(sub.actions[0], traj.actions[1:4].sum(axis=0))
         assert np.allclose(sub.actions[1], traj.actions[4:7].sum(axis=0))
+        assert sub.descriptor == {**traj.descriptor, "frames": [1, 4, 7]}
+        assert "frames" not in traj.descriptor
 
     def test_noop_returns_same(self):
         cfg = SceneConfig(n_points=96, length=5)
@@ -390,7 +396,7 @@ class TestDatasetRoundTrip:
     def test_version_mismatch(self, tmp_path):
         cfg = SceneConfig(n_points=64, length=4)
         path = tmp_path / "v.afro"
-        write_dataset([generate_trajectory(cfg, 5)], path)
+        write_dataset([generate_trajectory(cfg, 5)], path, config=cfg, seed=5)
         raw = bytearray(path.read_bytes())
         raw[4:8] = (2).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
@@ -400,7 +406,7 @@ class TestDatasetRoundTrip:
     def test_truncated_file(self, tmp_path):
         cfg = SceneConfig(n_points=64, length=4)
         path = tmp_path / "t.afro"
-        write_dataset([generate_trajectory(cfg, 5)], path)
+        write_dataset([generate_trajectory(cfg, 5)], path, config=cfg, seed=5)
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(DatasetFormatError, match="truncated"):
@@ -419,7 +425,8 @@ class TestDatasetRoundTrip:
 
         # the header and the first trajectory are written before the failure
         with pytest.raises(OSError, match="disk full"):
-            write_dataset([generate_trajectory(cfg, 6), FailingTrajectory()], path)
+            write_dataset([generate_trajectory(cfg, 6), FailingTrajectory()], path,
+                          config=cfg, seed=6)
         assert (path.read_bytes(), (tmp_path / "d.afro.meta.json").read_bytes()) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.afro", "d.afro.meta.json"]
 
@@ -437,4 +444,4 @@ class TestDatasetRoundTrip:
 
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            write_dataset([], tmp_path / "e.afro")
+            write_dataset([], tmp_path / "e.afro", config=SceneConfig(), seed=0)

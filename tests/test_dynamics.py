@@ -145,20 +145,18 @@ class TestNoiseFeature:
 
 
 class TestLatentAction:
-    def test_direction_validation(self, models):
+    def test_input_mode_validation(self, models):
         z = Tensor(np.zeros((1, 12), dtype=np.float32))
-        with pytest.raises(NumericsError, match="direction"):
-            infer_latent_action(models.idm, z, z, "sideways", "diff")
         with pytest.raises(NumericsError, match="input mode"):
-            infer_latent_action(models.idm, z, z, "forward", "sum")
+            infer_latent_action(models.idm, z, z, "sum")
 
     def test_zero_difference_constancy(self, models, clouds):
         z = pool(encode_groups(models.online, models.tokenize([clouds[0], clouds[1]])))
-        a = infer_latent_action(models.idm, z, z, "forward", "diff")
-        b = infer_latent_action(models.idm, z, z, "forward", "diff")
+        a = infer_latent_action(models.idm, z, z, "diff")
+        b = infer_latent_action(models.idm, z, z, "diff")
         assert np.array_equal(a.data, b.data)
         za = pool(encode_groups(models.online, models.tokenize([clouds[2], clouds[3]])))
-        c = infer_latent_action(models.idm, za, za, "forward", "diff")
+        c = infer_latent_action(models.idm, za, za, "diff")
         assert np.allclose(a.data, c.data, atol=1e-6)
 
     def test_common_shift_invariance_bitwise(self, models):
@@ -166,13 +164,13 @@ class TestLatentAction:
         za = stream.normal((2, 4, 12), dtype=np.float32)
         zb = stream.normal((2, 4, 12), dtype=np.float32)
         shift = stream.normal((12,), dtype=np.float32)
-        a1 = infer_latent_action(models.idm, pool(Tensor(za)), pool(Tensor(zb)), "forward", "diff")
+        a1 = infer_latent_action(models.idm, pool(Tensor(za)), pool(Tensor(zb)), "diff")
         # token-wise common shift commutes through pooling; the difference
         # fed to the MLP must be bitwise unchanged for identical inputs
         diff1 = pool(Tensor(zb)).data - pool(Tensor(za)).data
         diff2 = pool(Tensor(zb + shift)).data - pool(Tensor(za + shift)).data
         assert np.allclose(diff1, diff2, atol=1e-6)
-        a2 = infer_latent_action(models.idm, pool(Tensor(za)), pool(Tensor(zb)), "forward", "diff")
+        a2 = infer_latent_action(models.idm, pool(Tensor(za)), pool(Tensor(zb)), "diff")
         assert np.array_equal(a1.data, a2.data)
 
     def test_backward_input_is_negated_forward_input(self, models):
@@ -182,26 +180,26 @@ class TestLatentAction:
         fwd_in = (pool(zb).data - pool(za).data)
         bwd_in = (pool(za).data - pool(zb).data)
         assert np.array_equal(fwd_in, -bwd_in)
-        fwd = infer_latent_action(models.idm, pool(za), pool(zb), "forward", "diff")
-        bwd = infer_latent_action(models.idm, pool(za), pool(zb), "backward", "diff")
+        fwd = infer_latent_action(models.idm, pool(za), pool(zb), "diff")
+        bwd = infer_latent_action(models.idm, pool(zb), pool(za), "diff")
         assert np.array_equal(fwd.data, idm_forward(models.idm, Tensor(fwd_in)).data)
         assert np.array_equal(bwd.data, idm_forward(models.idm, Tensor(bwd_in)).data)
 
     def test_output_dimension_from_config(self, models, tiny_cfg, clouds):
         z1 = pool(encode_groups(models.online, models.tokenize([clouds[0]])))
         z2 = pool(encode_groups(models.online, models.tokenize([clouds[4]])))
-        a = infer_latent_action(models.idm, z1, z2, "forward", "diff")
+        a = infer_latent_action(models.idm, z1, z2, "diff")
         assert a.shape == (1, tiny_cfg.action_dim)
 
-    def test_concat_mode_orders_pair_by_direction(self, tiny_cfg):
+    def test_concat_mode_input_is_ordered_pair(self, tiny_cfg):
         cfg = ModelConfig(**{**tiny_cfg.__dict__, "idm_input": "concat"})
         models = init_models(cfg, 3)
         stream = RandomStream.derive(6, "concat")
         za = Tensor(stream.normal((1, 4, 12), dtype=np.float32))
         zb = Tensor(stream.normal((1, 4, 12), dtype=np.float32))
-        fwd = infer_latent_action(models.idm, pool(za), pool(zb), "forward", "concat")
-        swapped = infer_latent_action(models.idm, pool(zb), pool(za), "backward", "concat")
-        assert np.array_equal(fwd.data, swapped.data)
+        a = infer_latent_action(models.idm, pool(za), pool(zb), "concat")
+        inp = np.concatenate([pool(za).data, pool(zb).data], axis=-1)
+        assert np.array_equal(a.data, idm_forward(models.idm, Tensor(inp)).data)
 
 
 class TestConditioning:
@@ -317,7 +315,7 @@ class TestPredictBranches:
     def _future(self, models, clouds, tau, eps):
         z_t, z_tk, _, teacher_tk = self._encode(models, [clouds[0], clouds[1]],
                                                 [clouds[4], clouds[5]])
-        return branch_predict(models, z_t, z_tk, teacher_tk, tau, eps, "forward"), teacher_tk
+        return branch_predict(models, z_t, z_tk, teacher_tk, tau, eps), teacher_tk
 
     def test_history_equals_future_on_swapped_pair_bitwise(self, models, clouds):
         stream = RandomStream.derive(14, "sym")
@@ -325,9 +323,9 @@ class TestPredictBranches:
         eps = stream.normal((2, 4, 12), dtype=np.float32)
         ct, ctk = [clouds[0], clouds[1]], [clouds[4], clouds[5]]
         z_t, z_tk, teacher_t, _ = self._encode(models, ct, ctk)
-        hist_pred = branch_predict(models, z_t, z_tk, teacher_t, taus, eps, "backward")
+        hist_pred = branch_predict(models, z_tk, z_t, teacher_t, taus, eps)
         sz_t, sz_tk, _, s_teacher_tk = self._encode(models, ctk, ct)
-        fut_pred = branch_predict(models, sz_t, sz_tk, s_teacher_tk, taus, eps, "forward")
+        fut_pred = branch_predict(models, sz_t, sz_tk, s_teacher_tk, taus, eps)
         assert np.array_equal(hist_pred.data, fut_pred.data)
 
     def test_teacher_branch_carries_no_gradient(self, models, clouds):

@@ -189,7 +189,7 @@ class TestRunProbe:
         alphas, _ = _probe_pairs(models, trajs[:1], state.config.k, pooled)
         z_t = encode_groups(models.online, models.tokenize([trajs[0].frames[0]]))
         z_tk = encode_groups(models.online, models.tokenize([trajs[0].frames[state.config.k]]))
-        ref = infer_latent_action(state.models.idm, pool(z_t), pool(z_tk), "forward",
+        ref = infer_latent_action(state.models.idm, pool(z_t), pool(z_tk),
                                   state.config.idm_input).data[0]
         assert np.allclose(alphas[0], ref, atol=1e-5)
 

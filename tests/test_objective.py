@@ -153,8 +153,8 @@ class TestBidirectional:
         feats_t, feats_tk = models.tokenize(ct), models.tokenize(ctk)
         z_t, z_tk = encode_groups(models.online, feats_t), encode_groups(models.online, feats_tk)
         tf, th = encode_groups(models.target, feats_tk), encode_groups(models.target, feats_t)
-        pf = branch_predict(models, z_t, z_tk, tf, taus, ef, "forward")
-        ph = branch_predict(models, z_t, z_tk, th, taus, eh, "backward")
+        pf = branch_predict(models, z_t, z_tk, tf, taus, ef)
+        ph = branch_predict(models, z_tk, z_t, th, taus, eh)
         fut = vicreg(pool(pf), pool(tf), weights)
         hist = vicreg(pool(ph), pool(th), weights)
         assert bd.total_future == fut["total"].item()
