@@ -40,8 +40,15 @@ REFUSED_ENTRIES = [
     {"train.beta1": 1},
     {"train.lr": -1},
     {"train.lr": float("nan")},
-    {"scene.workspace_min": [-0.4, -0.4, 0.0]},
+    # Scene options that are now module constants: refused as unknown keys,
+    # whatever the value, even the old default (the last entry).
+    {"scene.workspace_min": [-1]},
+    {"scene.workspace_min": ["a", 0, 0]},
+    {"scene.workspace_min": [True, 0, 0]},
+    {"scene.movable_size_range": [-0.5, -0.4]},
+    {"scene.depth_noise_std": -1},
     {"scene.n_trajectories": 0},
+    {"scene.workspace_min": [-0.4, -0.4, 0.0]},
 ]
 
 
