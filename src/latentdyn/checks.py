@@ -103,14 +103,14 @@ def _primitive_checks(stream: RandomStream):
     add_check("max_pool", {"a": (3, 5, 4)},
               lambda p, r: scalarize(tmax(p["a"], axis=-2), r((3, 4))))
     add_check("gelu_max_pool", {"a": (3, 5, 4)},
-              lambda p, r: scalarize(gelu_max(p["a"], axis=-2), r((3, 4))))
+              lambda p, r: scalarize(gelu_max(p["a"]), r((3, 4))))
     add_check("maximum_hinge", {"a": (3, 4)},
               lambda p, r: scalarize(maximum(p["a"], 0.25), r((3, 4))))
     add_check("sqrt", {"a": (3, 4)},
               lambda p, r: scalarize(tsqrt(square(p["a"]) + 1.0), r((3, 4))))
     add_check("square", {"a": (3, 4)}, lambda p, r: scalarize(square(p["a"]), r((3, 4))))
     add_check("concat_slice", {"a": (3, 4), "b": (3, 2)},
-              lambda p, r: scalarize(slice_last(concat([p["a"], p["b"]], axis=-1), 1, 5),
+              lambda p, r: scalarize(slice_last(concat([p["a"], p["b"]]), 1, 5),
                                      r((3, 4))))
     add_check("reshape_transpose", {"a": (3, 4)},
               lambda p, r: scalarize(transpose_last(p["a"].reshape(2, 6)), r((6, 2))))

@@ -112,8 +112,8 @@ def fps_indices(points: np.ndarray, m: int, start_index: int = 0) -> np.ndarray:
     return selected
 
 
-def fps(cloud: PointCloud, m: int, start_index: int = 0) -> PointCloud:
-    idx = fps_indices(cloud.points, m, start_index)
+def fps(cloud: PointCloud, m: int) -> PointCloud:
+    idx = fps_indices(cloud.points, m)
     return PointCloud(cloud.points[idx])
 
 
@@ -141,5 +141,5 @@ def preprocess_depth_sequence(depths, intrinsics: CameraIntrinsics, aabb_min, aa
         cloud = crop_workspace(backproject_depth(depth, intrinsics), aabb_min, aabb_max)
         if cloud.n < n_points:
             raise DataError(f"only {cloud.n} points in workspace, need {n_points}")
-        clouds.append(fps(cloud, n_points, start_index=0))
+        clouds.append(fps(cloud, n_points))
     return clouds

@@ -1,15 +1,16 @@
 """Binary trajectory dataset format.
 
 Little-endian layout:
-  magic "AFRO" | u32 version=1 | u32 n_traj
+  magic "AFRO" | u32 version=2 | u32 meta_len | metadata [meta_len bytes]
   per trajectory: u32 L | u32 n_points | u32 action_dim | u64 seed |
                   f32 frames [L * n_points * 3] | f32 actions [(L-1) * action_dim]
 
-A sidecar "<path>.meta.json" carries the generator config, the global
-seed, and the per-trajectory scene descriptors (not representable in the
-fixed binary layout); a subsampled trajectory's descriptor lists its kept
-generator frames. Both files are written through ``atomic_writer``, so
-a crash mid-write leaves the previous file in place. Readers go through
+The metadata is a UTF-8 JSON object: the generator config, the global
+seed, and the scene descriptors, one per trajectory record in order (the
+descriptor list is the record count); a subsampled trajectory's
+descriptor lists its kept generator frames. The one file is written
+through ``atomic_writer``, so a crash mid-write leaves the previous
+dataset, descriptors included, in place. Readers go through
 ``read_exact``, which refuses any header size larger than the bytes left.
 """
 
@@ -29,7 +30,7 @@ from .geometry import DataError, PointCloud
 from .synthetic import SceneConfig, Trajectory
 
 MAGIC = b"AFRO"
-VERSION = 1
+VERSION = 2
 
 
 class DatasetFormatError(DataError):
@@ -37,13 +38,13 @@ class DatasetFormatError(DataError):
 
 
 @contextmanager
-def atomic_writer(path, mode: str = "wb", **kwargs):
+def atomic_writer(path):
     """Open a temp file in path's directory; on a clean exit it replaces
     path, on an error it is deleted and path is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **kwargs) as f:
+        with open(tmp, "wb") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -54,9 +55,15 @@ def atomic_writer(path, mode: str = "wb", **kwargs):
 def write_dataset(trajs: list[Trajectory], path, config: SceneConfig, seed: int) -> None:
     if not trajs:
         raise DataError("refusing to write an empty dataset")
+    meta = json.dumps({
+        "config": asdict(config),
+        "seed": seed,
+        "descriptors": [t.descriptor for t in trajs],
+    }, separators=(",", ":"), sort_keys=True).encode("utf-8")
     with atomic_writer(path) as f:
         f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(trajs)))
+        f.write(struct.pack("<II", VERSION, len(meta)))
+        f.write(meta)
         for traj in trajs:
             frames = np.stack([fr.points for fr in traj.frames]).astype("<f4")
             actions = np.asarray(traj.actions, dtype="<f4")
@@ -64,14 +71,6 @@ def write_dataset(trajs: list[Trajectory], path, config: SceneConfig, seed: int)
                                 actions.shape[1], traj.seed & 0xFFFFFFFFFFFFFFFF))
             f.write(frames.tobytes())
             f.write(actions.tobytes())
-    meta = {
-        "config": asdict(config),
-        "seed": seed,
-        "descriptors": [t.descriptor for t in trajs],
-    }
-    with atomic_writer(f"{path}.meta.json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def read_exact(f, n: int, what: str, error: type[DataError], size: int) -> bytes:
@@ -129,7 +128,6 @@ def config_from_dict(cls, entries: dict, prefix: str, error: type[Exception]):
 
 
 def read_dataset(path) -> list[Trajectory]:
-    path = Path(path)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -139,11 +137,15 @@ def read_dataset(path) -> list[Trajectory]:
         magic = read(4, "magic")
         if magic != MAGIC:
             raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version, n_traj = struct.unpack("<II", read(8, "header"))
+        version, meta_len = struct.unpack("<II", read(8, "header"))
         if version != VERSION:
             raise DatasetFormatError(f"unsupported dataset version {version}, reader supports {VERSION}")
+        descriptors = json_object(read(meta_len, "metadata"), "metadata",
+                                  DatasetFormatError).get("descriptors")
+        if not (isinstance(descriptors, list) and all(isinstance(d, dict) for d in descriptors)):
+            raise DatasetFormatError("metadata descriptors are not a list of JSON objects")
         trajs = []
-        for i in range(n_traj):
+        for i, descriptor in enumerate(descriptors):
             length, n_points, action_dim, traj_seed = struct.unpack(
                 "<IIIQ", read(20, f"trajectory {i} header"))
             if length < 1 or n_points < 1:
@@ -157,20 +159,8 @@ def read_dataset(path) -> list[Trajectory]:
                 frames=[PointCloud(frames[t].copy()) for t in range(length)],
                 actions=actions.copy(),
                 seed=traj_seed,
+                descriptor=descriptor,
             ))
-        trailing = f.read(1)
-        if trailing:
+        if f.read(1):
             raise DatasetFormatError("trailing bytes after last trajectory")
-
-    meta_path = Path(f"{path}.meta.json")
-    if meta_path.exists():
-        meta = json_object(meta_path.read_bytes(), str(meta_path), DatasetFormatError)
-        descriptors = meta.get("descriptors")
-        if descriptors is not None:
-            if not (isinstance(descriptors, list) and len(descriptors) == len(trajs) and all(
-                    d is None or isinstance(d, dict) for d in descriptors)):
-                raise DatasetFormatError(
-                    f"{meta_path} descriptors are not a list of {len(trajs)} JSON objects")
-            for traj, desc in zip(trajs, descriptors):
-                traj.descriptor = desc
     return trajs

@@ -43,7 +43,7 @@ class Trajectory:
     frames: list[PointCloud]
     actions: np.ndarray  # (L-1, 2), the applied per-step planar push
     seed: int
-    descriptor: dict | None = None
+    descriptor: dict  # the scene: objects, table, depth noise
 
     def __post_init__(self):
         if len(self.actions) != len(self.frames) - 1:
@@ -208,4 +208,4 @@ def subsample_trajectory(traj: Trajectory, skip_frames: int = 0, stride: int = 1
     frames = [traj.frames[i] for i in kept]
     actions = np.stack([traj.actions[a:b].sum(axis=0) for a, b in zip(kept[:-1], kept[1:])])
     return Trajectory(frames=frames, actions=actions.astype(traj.actions.dtype),
-                      seed=traj.seed, descriptor={**(traj.descriptor or {}), "frames": list(kept)})
+                      seed=traj.seed, descriptor={**traj.descriptor, "frames": list(kept)})

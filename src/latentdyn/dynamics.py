@@ -120,7 +120,7 @@ def infer_latent_action(params: ParamStore, pa: Tensor, pb: Tensor, input_mode: 
         raise NumericsError(f"unknown idm input mode {input_mode!r}")
     if pa.shape != pb.shape:
         raise NumericsError(f"feature shape mismatch: {pa.shape} vs {pb.shape}")
-    inp = sub(pb, pa) if input_mode == "diff" else concat([pa, pb], axis=-1)
+    inp = sub(pb, pa) if input_mode == "diff" else concat([pa, pb])
     return idm_forward(params, inp)
 
 
@@ -149,7 +149,7 @@ def condition_vector(params: ParamStore, z_pool: Tensor, action: Tensor, tau) ->
     z_part = _cond_mlp(params, "cond.z", z_pool)
     a_part = _cond_mlp(params, "cond.a", action)
     t_part = _cond_mlp(params, "cond.t", Tensor(temb.astype(str(z_pool.dtype))))
-    return concat([z_part, a_part, t_part], axis=-1)
+    return concat([z_part, a_part, t_part])
 
 
 def adaln(params: ParamStore, head: str, x: Tensor, c: Tensor) -> Tensor:

@@ -64,7 +64,7 @@ def encode_groups(params: ParamStore, feats: np.ndarray) -> Tensor:
     x = Tensor(np.asarray(feats, dtype=dtype))
     h = gelu(dense(params, "tok.fc1", x))
     # GELU then max-pool over the group (order-invariant), as one node
-    raw = gelu_max(dense(params, "tok.fc2", h), axis=-2)
+    raw = gelu_max(dense(params, "tok.fc2", h))
     # pre-LN keeps mixing scale-invariant
     return raw + self_attention(params, "mix", layer_norm(raw))
 

@@ -310,17 +310,17 @@ def transpose_last(a: Tensor) -> Tensor:
     return _result(data, (a,), vjp, "transpose_last")
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """The tensors joined along their last axis."""
     dt = tensors[0].dtype
     for t in tensors:
         if t.dtype != dt:
             raise NumericsError("concat requires matching dtypes")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    splits = np.cumsum([t.shape[-1] for t in tensors])[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=-1))
 
     return _result(data, tuple(tensors), vjp, "concat")
 
@@ -431,16 +431,16 @@ def gelu(x: Tensor) -> Tensor:
     return _result(data, (x,), vjp, "gelu")
 
 
-def gelu_max(a: Tensor, axis: int = -2) -> Tensor:
-    """tmax(gelu(a), axis) as one tape node.
+def gelu_max(a: Tensor) -> Tensor:
+    """tmax(gelu(a), axis=-2) as one tape node.
 
     GELU is unimodal with its minimum at c ~ -0.752, so over each group
     only the group's min and max go through GELU and the larger is kept
     (on equal values, the max). The gradient goes to the lowest index that
     holds the chosen input, as tmax routes ties.
     """
-    hi = a.data.max(axis=axis)
-    lo = a.data.min(axis=axis)
+    hi = a.data.max(axis=-2)
+    lo = a.data.min(axis=-2)
     phi_hi = _gelu_phi(hi)
     phi_lo = _gelu_phi(lo)
     gelu_hi = hi * phi_hi
@@ -451,10 +451,10 @@ def gelu_max(a: Tensor, axis: int = -2) -> Tensor:
 
     def vjp(g):
         pick = np.where(take_lo, lo, hi)
-        idx = np.expand_dims(np.argmax(a.data == np.expand_dims(pick, axis), axis=axis), axis)
+        idx = np.expand_dims(np.argmax(a.data == np.expand_dims(pick, -2), axis=-2), -2)
         full = np.zeros_like(a.data)
         grad = _gelu_grad(g, pick, np.where(take_lo, phi_lo, phi_hi))
-        np.put_along_axis(full, idx, np.expand_dims(grad, axis), axis=axis)
+        np.put_along_axis(full, idx, np.expand_dims(grad, -2), axis=-2)
         return (full,)
 
     return _result(data, (a,), vjp, "gelu_max")
@@ -470,13 +470,14 @@ def layer_norm(x: Tensor) -> Tensor:
     return div(d, tsqrt(add(v, _LN_EPS)))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     s = np.exp(shifted)
-    s /= s.sum(axis=axis, keepdims=True)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - dot),)
 
     return _result(s, (x,), vjp, "softmax")
@@ -488,4 +489,4 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise NumericsError(f"attention shape mismatch: q={q.shape} k={k.shape} v={v.shape}")
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = mul(matmul(q, transpose_last(k)), scale)
-    return matmul(softmax(scores, axis=-1), v)
+    return matmul(softmax(scores), v)

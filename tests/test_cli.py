@@ -171,11 +171,19 @@ class TestExitCodes:
         ckpt = tmp_path / "init.afck"
         save_checkpoint(init_train_state(TrainConfig()), ckpt)
         bad = tmp_path / "bad.afro"
-        bad.write_bytes(b"AFRO" + struct.pack("<II", 1, 1)
+        meta = b'{"descriptors": [{}]}'
+        bad.write_bytes(b"AFRO" + struct.pack("<II", 2, len(meta)) + meta
                         + struct.pack("<IIIQ", 0xFFFFFFFF, 0xFFFFFFFF, 2, 0) + bytes(64))
         code = main(["probe", "--ckpt", str(ckpt), "--data", str(bad),
                      "--report", str(tmp_path / "r.json")])
         assert code == EXIT_IO
+
+
+def _split_metadata(path) -> tuple[bytes, bytes]:
+    """A dataset file's metadata JSON and the trajectory records after it."""
+    raw = Path(path).read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[8:12])
+    return raw[12:12 + meta_len], raw[12 + meta_len:]
 
 
 def _probe_exit(tmp_path, ckpt, data) -> int:
@@ -184,7 +192,7 @@ def _probe_exit(tmp_path, ckpt, data) -> int:
 
 
 class TestCorruptInputsExit4:
-    """Undecodable checkpoint fields and dataset sidecars are format errors."""
+    """Undecodable checkpoint fields and dataset metadata are format errors."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -218,12 +226,17 @@ class TestCorruptInputsExit4:
         ckpt.write_bytes(bytes(buf))
         assert _probe_exit(tmp_path, ckpt, data) == EXIT_IO
 
-    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", "\xff", '{"descriptors": 5}',
-                                         '{"descriptors": [5]}', '{"descriptors": [{}]}'])
-    def test_bad_sidecar(self, inputs, tmp_path, sidecar):
+    # the last three hold one descriptor too few, none, and one too many for
+    # the file's two trajectories
+    @pytest.mark.parametrize("metadata", ["{not json", "[1, 2]", "\xff", '{"descriptors": 5}',
+                                          '{"descriptors": [5]}', '{"descriptors": [{}]}', "{}",
+                                          '{"descriptors": [{}, {}, {}]}'])
+    def test_bad_metadata(self, inputs, tmp_path, metadata):
         ckpt, data, _ = inputs
         assert _probe_exit(tmp_path, ckpt, data) == EXIT_OK
-        Path(f"{data}.meta.json").write_bytes(sidecar.encode("latin-1"))
+        _, records = _split_metadata(data)
+        payload = metadata.encode("latin-1")
+        data.write_bytes(b"AFRO" + struct.pack("<II", 2, len(payload)) + payload + records)
         with pytest.raises(DatasetFormatError):
             read_dataset(data)
         assert _probe_exit(tmp_path, ckpt, data) == EXIT_IO
@@ -236,7 +249,7 @@ class TestPipeline:
                      "--seed", "9"]) == EXIT_OK
         trajs = read_dataset(data)
         assert len(trajs) == 4
-        meta = json.loads((tmp_path / "tiny.afro.meta.json").read_text())
+        meta = json.loads(_split_metadata(data)[0])
         assert meta["seed"] == 9
         assert meta["config"]["n_points"] == 96
 
@@ -316,5 +329,5 @@ class TestPipeline:
         full = tmp_path / "f.afro"
         assert main(["gen-data", "--config", str(tiny_config_path), "--out", str(full)]) == EXIT_OK
         assert all("frames" not in t.descriptor for t in read_dataset(full))
-        sidecars = [Path(f"{path}.meta.json").read_bytes() for path in (data, full)]
-        assert sidecars[0] != sidecars[1]
+        metadata = [_split_metadata(path)[0] for path in (data, full)]
+        assert metadata[0] != metadata[1]

@@ -49,7 +49,7 @@ def fps_oracle(points: np.ndarray, m: int, start: int) -> list[int]:
 class TestFps:
     def test_hand_case(self):
         pts = np.array([[0, 0, 0], [0.1, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=np.float64)
-        out = fps(PointCloud(pts), 2, 0)
+        out = fps(PointCloud(pts), 2)
         assert np.array_equal(out.points, np.array([[0, 0, 0], [2, 0, 0]]))
 
     def test_m_equals_n_is_permutation(self):
@@ -60,7 +60,7 @@ class TestFps:
 
     def test_m_too_large_rejected(self):
         with pytest.raises(DataError):
-            fps(PointCloud(np.zeros((3, 3)) + np.arange(3)[:, None]), 4, 0)
+            fps(PointCloud(np.zeros((3, 3)) + np.arange(3)[:, None]), 4)
 
     def test_oracle_equivalence_small_clouds(self):
         stream = RandomStream.derive(17, "fps-oracle")
@@ -379,13 +379,22 @@ class TestDatasetRoundTrip:
             for a, b in zip(trajs, back):
                 assert trajectories_equal(a, b)
 
-    def test_descriptors_restored_from_sidecar(self, tmp_path):
+    def test_descriptors_round_trip(self, tmp_path):
         cfg = SceneConfig(n_points=64, length=4)
         trajs = [generate_trajectory(cfg, 5)]
         path = tmp_path / "d.afro"
         write_dataset(trajs, path, config=cfg, seed=5)
         back = read_dataset(path)
         assert back[0].descriptor == trajs[0].descriptor
+
+    def test_file_copied_alone_keeps_its_descriptors(self, tmp_path):
+        cfg = SceneConfig(n_points=64, length=4)
+        trajs = [generate_trajectory(cfg, seed) for seed in (5, 6)]
+        write_dataset(trajs, tmp_path / "d.afro", config=cfg, seed=5)
+        (tmp_path / "copy").mkdir()
+        copy = tmp_path / "copy" / "d.afro"
+        copy.write_bytes((tmp_path / "d.afro").read_bytes())
+        assert [t.descriptor for t in read_dataset(copy)] == [t.descriptor for t in trajs]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.afro"
@@ -398,7 +407,7 @@ class TestDatasetRoundTrip:
         path = tmp_path / "v.afro"
         write_dataset([generate_trajectory(cfg, 5)], path, config=cfg, seed=5)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = (2).to_bytes(4, "little")
+        raw[4:8] = (1).to_bytes(4, "little")  # the format before the metadata moved in
         path.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="version"):
             read_dataset(path)
@@ -415,20 +424,26 @@ class TestDatasetRoundTrip:
     def test_failed_write_leaves_previous_file(self, tmp_path):
         cfg = SceneConfig(n_points=64, length=4)
         path = tmp_path / "d.afro"
-        write_dataset([generate_trajectory(cfg, 5)], path, config=cfg, seed=5)
-        before = path.read_bytes(), (tmp_path / "d.afro.meta.json").read_bytes()
+        old = [generate_trajectory(cfg, seed) for seed in (5, 6)]
+        write_dataset(old, path, config=cfg, seed=5)
+        before = path.read_bytes()
 
         class FailingTrajectory:
+            descriptor = {}
+
             @property
             def frames(self):
                 raise OSError("disk full")
 
-        # the header and the first trajectory are written before the failure
+        # the header, the metadata and the first trajectory are written
+        # before the failure
         with pytest.raises(OSError, match="disk full"):
-            write_dataset([generate_trajectory(cfg, 6), FailingTrajectory()], path,
-                          config=cfg, seed=6)
-        assert (path.read_bytes(), (tmp_path / "d.afro.meta.json").read_bytes()) == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.afro", "d.afro.meta.json"]
+            write_dataset([generate_trajectory(cfg, 7), FailingTrajectory()], path,
+                          config=cfg, seed=7)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.afro"]
+        back = read_dataset(path)
+        assert [(t.seed, t.descriptor) for t in back] == [(t.seed, t.descriptor) for t in old]
 
     @pytest.mark.parametrize("length, n_points", [
         (0xFFFFFFFF, 0xFFFFFFFF),  # the frame size overflows a C ssize_t
@@ -437,9 +452,10 @@ class TestDatasetRoundTrip:
     ])
     def test_corrupt_header_sizes_rejected(self, tmp_path, length, n_points):
         path = tmp_path / "h.afro"
-        path.write_bytes(b"AFRO" + struct.pack("<II", 1, 1)
+        meta = b'{"descriptors": [{}]}'
+        path.write_bytes(b"AFRO" + struct.pack("<II", 2, len(meta)) + meta
                          + struct.pack("<IIIQ", length, n_points, 2, 0) + bytes(64))
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(DatasetFormatError, match="truncated|header has"):
             read_dataset(path)
 
     def test_empty_write_rejected(self, tmp_path):

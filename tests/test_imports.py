@@ -1,5 +1,7 @@
-"""Every name a latentdyn module imports is used in that module, and every
-public function, class and method is used somewhere in the package.
+"""Every name a latentdyn module imports is used in that module, every
+public function, class and method is used somewhere in the package, and
+every defaulted parameter of one takes, somewhere, a value other than its
+default.
 
 Package __init__ modules re-export names and are exempt from the first
 check; their re-exports do not count as uses for the second.
@@ -92,33 +94,41 @@ NEVER_SET_ALLOWED = {
 }
 
 
-def _passes(call: ast.Call, param: str, index: int | None) -> bool:
-    """Whether the call sets the parameter by keyword, by position, or
-    through a *args/**kwargs it cannot see into."""
-    if any(kw.arg in (param, None) for kw in call.keywords):
-        return True
-    if any(isinstance(arg, ast.Starred) for arg in call.args):
-        return True
-    return index is not None and index < len(call.args)
+_UNSEEN = ast.Name("*args")  # an argument a *args/**kwargs may carry
 
 
-def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None]]:
-    """(name, positional index or None) of each parameter with a default."""
+def _argument(call: ast.Call, param: str, index: int | None) -> ast.expr | None:
+    """The expression the call passes for the parameter, by keyword or by
+    position; _UNSEEN if a *args/**kwargs may pass it, None if it does not."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+    if any(kw.arg is None for kw in call.keywords) or any(
+            isinstance(arg, ast.Starred) for arg in call.args):
+        return _UNSEEN
+    return call.args[index] if index is not None and index < len(call.args) else None
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None, ast.expr]]:
+    """(name, positional index or None, default) of each parameter with a default."""
     positional = fn.args.posonlyargs + fn.args.args
     static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
     if is_method and not static:
         positional = positional[1:]
     first = len(positional) - len(fn.args.defaults)
-    out = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
-    out += [(arg.arg, None) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+    out = [(arg.arg, first + i, default)
+           for i, (arg, default) in enumerate(zip(positional[first:], fn.args.defaults))]
+    out += [(arg.arg, None, default)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
             if default is not None]
     return out
 
 
-def _never_set(sources: list[str]) -> list[str]:
-    """Defaulted parameters of public module-level functions and of public
-    methods (a class's __init__ under the class name) that no call in the
-    sources passes, as "function.param" or "Class.method.param".
+def _arguments(sources: list[str]) -> list[tuple[str, ast.expr, list[ast.expr]]]:
+    """("label.param", default, what each call passes for it) for each
+    defaulted parameter of a public module-level function or public method
+    (a class's __init__ under the class name, any other method as
+    "Class.method"). Calls that do not pass the parameter are left out.
 
     A call matches by the callee's name, plain or as an attribute."""
     params, calls = [], []
@@ -146,8 +156,17 @@ def _never_set(sources: list[str]) -> list[str]:
         func = call.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         by_callee.setdefault(name, []).append(call)
-    return [f"{label}.{param}" for label, callee, param, index in params
-            if not any(_passes(call, param, index) for call in by_callee.get(callee, []))]
+    out = []
+    for label, callee, param, index, default in params:
+        passed = [_argument(call, param, index) for call in by_callee.get(callee, [])]
+        out.append((f"{label}.{param}", default, [arg for arg in passed if arg is not None]))
+    return out
+
+
+def _never_set(sources: list[str]) -> list[str]:
+    """Defaulted parameters of public functions and methods that no call in
+    the sources passes."""
+    return [name for name, _, passed in _arguments(sources) if not passed]
 
 
 def test_detector_sees_never_set_parameters():
@@ -162,3 +181,42 @@ def test_detector_sees_never_set_parameters():
 def test_every_defaulted_parameter_is_set_somewhere():
     sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.rglob("*.py"))]
     assert sorted(_never_set(sources)) == sorted(NEVER_SET_ALLOWED)
+
+
+# Defaulted parameters every call passes only as their literal default,
+# each with its reason.
+ONLY_DEFAULT_ALLOWED = {
+    "pca_embed.n_components": "the benchmark's tests pass 2 positionally",
+    "fps_indices.start_index": "gate A4 checks FPS from every start",
+}
+
+
+def _literal(node: ast.expr):
+    """(type, value) of a literal expression such as 2 or -1, or None."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value), value
+
+
+def _only_default(sources: list[str]) -> list[str]:
+    """Defaulted parameters that some call in the sources passes, and every
+    call that passes one passes as a literal equal to the default."""
+    return [name for name, default, passed in _arguments(sources)
+            if passed and _literal(default) is not None
+            and all(_literal(arg) == _literal(default) for arg in passed)]
+
+
+def test_detector_sees_parameters_passed_only_as_default():
+    source = ("def f(a, b=1, *, c=-1, d=None, e=2):\n    pass\n\n"
+              "class Box:\n    def put(self, item, flag=False):\n        pass\n\n"
+              "f(0, 1, c=-1)\nf(0, c=-1, d=None, e=n)\nf(0)\nBox().put(3, True)\n"
+              "Box().put(3, flag=0)\n")
+    assert _only_default([source]) == ["f.b", "f.c", "f.d"]
+    assert _only_default([source, "f(0, *rest)\nf(0, **more)\n"]) == []
+
+
+def test_no_parameter_is_passed_only_as_its_default():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.rglob("*.py"))]
+    assert sorted(_only_default(sources)) == sorted(ONLY_DEFAULT_ALLOWED)

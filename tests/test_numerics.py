@@ -230,7 +230,7 @@ class TestGradientChecks:
 
     def test_concat_slice_gradient(self):
         self._check({"a": (2, 3), "b": (2, 2)},
-                    lambda p, r: tsum(mul(slice_last(concat([p["a"], p["b"]], axis=-1), 1, 4),
+                    lambda p, r: tsum(mul(slice_last(concat([p["a"], p["b"]]), 1, 4),
                                           r((2, 3)))))
 
     def test_pooled_max_gradient(self):
@@ -239,7 +239,7 @@ class TestGradientChecks:
 
     def test_gelu_max_gradient(self):
         self._check({"x": (2, 5, 3)},
-                    lambda p, r: tsum(mul(gelu_max(p["x"], axis=-2), r((2, 3)))))
+                    lambda p, r: tsum(mul(gelu_max(p["x"]), r((2, 3)))))
 
     def test_grad_check_rejects_float32(self):
         params = ParamStore()
@@ -260,7 +260,7 @@ def _unfused(t):
 
 
 def _fused(t):
-    return gelu_max(t, axis=-2)
+    return gelu_max(t)
 
 
 class TestGeluMax:
@@ -305,13 +305,13 @@ class TestGeluMax:
         t = Tensor(np.zeros((2, 3, 2)))
         t.data[1, 2, 0] = bad
         with pytest.raises(NumericsError, match="gelu_max"):
-            gelu_max(t, axis=-2)
+            gelu_max(t)
 
     def test_far_negative_float32_close_to_unfused(self, stream):
         # Below c the float32 rounding of 1 + erf makes GELU non-monotone by
         # a few 1e-9, so an inner point can beat both ends by that much.
         x = stream.normal((32, 8, 32, 64), dtype=np.float32) - np.float32(3.0)
-        fused = gelu_max(Tensor(x), axis=-2).data
+        fused = gelu_max(Tensor(x)).data
         unfused = _unfused(Tensor(x)).data
         assert np.abs(fused - unfused).max() <= 1e-8
 

@@ -149,6 +149,11 @@ class TestBidirectional:
 
     def test_branches_match_public_ops_bitwise(self, setup, weights):
         models, ct, ctk, taus, ef, eh = setup
+        # the denoiser's zero-init heads and gates are moved off zero, so
+        # that each prediction depends on its conditioning frame
+        jitter = RandomStream.derive(8, "jitter")
+        for _, t in models.fdm.items():
+            t.data += 0.05 * jitter.normal(t.shape).astype(t.dtype)
         _, bd = _loss_on_clouds(models, ct, ctk, taus, ef, eh, weights)
         feats_t, feats_tk = models.tokenize(ct), models.tokenize(ctk)
         z_t, z_tk = encode_groups(models.online, feats_t), encode_groups(models.online, feats_tk)
