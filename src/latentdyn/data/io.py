@@ -144,6 +144,8 @@ def read_dataset(path) -> list[Trajectory]:
                                   DatasetFormatError).get("descriptors")
         if not (isinstance(descriptors, list) and all(isinstance(d, dict) for d in descriptors)):
             raise DatasetFormatError("metadata descriptors are not a list of JSON objects")
+        if not descriptors:  # write_dataset refuses an empty write
+            raise DatasetFormatError("metadata lists no trajectories")
         trajs = []
         for i, descriptor in enumerate(descriptors):
             length, n_points, action_dim, traj_seed = struct.unpack(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics.rng import RandomStream
+from ..numerics.rng import RandomStream, box_muller
 from .geometry import DataError, PointCloud, check_at_least, kept_frames
 
 WORKSPACE_MIN = (-0.4, -0.4, 0.0)  # meters; the table covers the workspace's xy
@@ -74,20 +74,19 @@ _FACE_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 def _sample_box_surface(draws: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """len(draws) // 3 points uniform on the surface of a centered
-    axis-aligned box, from uniforms laid out as [face | u | v]."""
-    n = len(draws) // 3
+    """Points uniform on the surface of a centered axis-aligned box: each
+    row of (..., 3n) uniforms, laid out as [face | u | v], gives (..., n, 3)."""
+    n = draws.shape[-1] // 3
     areas = _box_face_areas(size)
     cdf = np.cumsum(areas / areas.sum())
-    face = np.searchsorted(cdf, draws[:n], side="right")
+    face = np.searchsorted(cdf, draws[..., :n], side="right")
     axis = face // 2
     other = _FACE_OTHER_AXES[axis]
-    rows = np.arange(n)
-    half = size / 2.0
-    pts = np.empty((n, 3))
-    pts[rows, axis] = np.where(face % 2 == 0, 1.0, -1.0) * half[axis]
-    pts[rows, other[:, 0]] = (draws[n:2 * n] - 0.5) * size[other[:, 0]]
-    pts[rows, other[:, 1]] = (draws[2 * n:] - 0.5) * size[other[:, 1]]
+    uv = np.stack([draws[..., n:2 * n], draws[..., 2 * n:]], axis=-1)
+    pts = np.empty(face.shape + (3,))
+    sign = np.where(face % 2 == 0, 1.0, -1.0)
+    np.put_along_axis(pts, axis[..., None], (sign * (size / 2.0)[axis])[..., None], axis=-1)
+    np.put_along_axis(pts, other, (uv - 0.5) * size[other], axis=-1)
     return pts
 
 
@@ -134,19 +133,17 @@ def generate_trajectory(cfg: SceneConfig, seed: int) -> Trajectory:
     margin = actuated_size / 2.0 + 0.01
     lo_c = ws_lo[:2] + margin[:2]
     hi_c = ws_hi[:2] - margin[:2]
-    actions = np.empty((cfg.length - 1, 2))
+    actions = (stream.uniform(2 * (cfg.length - 1)).reshape(-1, 2) * 2.0 - 1.0) * cfg.action_max
     actuated_path = np.empty((cfg.length, 3))
     actuated_path[0] = centers[0]
     pos = centers[0][:2].copy()
-    for t in range(cfg.length - 1):
-        a = (stream.uniform(2) * 2.0 - 1.0) * cfg.action_max
+    for t, a in enumerate(actions):  # each row is reflected in place
         for ax in range(2):
             if pos[ax] + a[ax] > hi_c[ax]:
                 a[ax] = -abs(a[ax])
             elif pos[ax] + a[ax] < lo_c[ax]:
                 a[ax] = abs(a[ax])
         pos = pos + a
-        actions[t] = a
         actuated_path[t + 1] = [pos[0], pos[1], centers[0][2]]
 
     object_areas = np.array([_box_face_areas(s).sum() for s in sizes])
@@ -168,23 +165,23 @@ def generate_trajectory(cfg: SceneConfig, seed: int) -> Trajectory:
     }
 
     # Frame layout: [actuated pts | distractors | table], counts above.
-    frames = []
-    table_span = ws_hi[:2] - ws_lo[:2]
-    # Each frame's uniforms in one draw: per object [face | u | v], then the
-    # table's xy pairs.
+    # All frames' uniforms come from one draw, frame after frame; row t is
+    # frame t: per object [face | u | v], then the table's xy pairs
+    # (n_uniform in all), then the 2m uniforms of its Box-Muller depth noise.
     ends = np.cumsum(3 * obj_counts)
-    for t in range(cfg.length):
-        draws = stream.uniform(int(ends[-1]) + 2 * n_table)
-        parts = []
-        for i, box_draws in enumerate(np.split(draws[:ends[-1]], ends[:-1])):
-            center = actuated_path[t] if i == 0 else centers[i]
-            parts.append(_sample_box_surface(box_draws, sizes[i]) + center)
-        table_xy = ws_lo[:2] + table_span * draws[ends[-1]:].reshape(n_table, 2)
-        parts.append(np.concatenate([table_xy, np.zeros((n_table, 1))], axis=1))
-        pts = np.concatenate(parts, axis=0)
-        pts[:, 2] += DEPTH_NOISE_STD * stream.normal(pts.shape[0])
-        np.maximum(pts[:, 2], 0.0, out=pts[:, 2])
-        frames.append(PointCloud(pts.astype(np.float32)))
+    n_uniform = int(ends[-1]) + 2 * n_table
+    n_draws = n_uniform + 2 * ((cfg.n_points + 1) // 2)
+    draws = stream.uniform(cfg.length * n_draws).reshape(cfg.length, n_draws)
+    parts = [_sample_box_surface(box_draws, sizes[i])
+             + (actuated_path[:, None] if i == 0 else centers[i])
+             for i, box_draws in enumerate(np.split(draws[:, :ends[-1]], ends[:-1], axis=1))]
+    table_span = ws_hi[:2] - ws_lo[:2]
+    table_xy = ws_lo[:2] + table_span * draws[:, ends[-1]:n_uniform].reshape(-1, n_table, 2)
+    parts.append(np.concatenate([table_xy, np.zeros((cfg.length, n_table, 1))], axis=2))
+    pts = np.concatenate(parts, axis=1)
+    pts[..., 2] += DEPTH_NOISE_STD * box_muller(draws[:, n_uniform:])[:, :cfg.n_points]
+    np.maximum(pts[..., 2], 0.0, out=pts[..., 2])
+    frames = [PointCloud(frame) for frame in pts.astype(np.float32)]
 
     return Trajectory(frames=frames, actions=actions.astype(np.float32), seed=seed,
                       descriptor=descriptor)

@@ -36,6 +36,15 @@ def _hash_name(name: str) -> np.uint64:
     return np.uint64(h)
 
 
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms in [0, 1), along the last axis: the
+    (..., 2m) draws [u1 | u2] give (..., 2m) normals [r cos | r sin]."""
+    m = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., :m]))  # 1 - u is in (0, 1]: log stays finite
+    theta = (2.0 * math.pi) * u[..., m:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
 class RandomStream:
     """One named, restartable random stream.
 
@@ -77,13 +86,7 @@ class RandomStream:
     def normal(self, shape, dtype=np.float64) -> np.ndarray:
         """Standard normal array via Box-Muller."""
         size = int(np.prod(shape)) if shape else 1
-        m = (size + 1) // 2
-        u = self.uniform(2 * m)
-        u1 = 1.0 - u[:m]  # (0, 1]: keeps log finite
-        u2 = u[m:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:size]
+        z = box_muller(self.uniform(2 * ((size + 1) // 2)))[:size]
         return z.reshape(shape).astype(dtype)
 
     def integers(self, low: int, high: int, n: int) -> np.ndarray:

@@ -241,6 +241,18 @@ class TestCorruptInputsExit4:
             read_dataset(data)
         assert _probe_exit(tmp_path, ckpt, data) == EXIT_IO
 
+    @pytest.mark.parametrize("command", ["probe", "pretrain", "embed"])
+    def test_dataset_without_trajectories(self, inputs, tmp_path, command):
+        ckpt, data, _ = inputs
+        payload = b'{"descriptors": []}'
+        data.write_bytes(b"AFRO" + struct.pack("<II", 2, len(payload)) + payload)
+        out = tmp_path / "out"
+        args = {"probe": ["--ckpt", str(ckpt), "--report", str(out)],
+                "pretrain": ["--out", str(out)],
+                "embed": ["--ckpt", str(ckpt), "--out", str(out)]}[command]
+        assert main([command, "--data", str(data), *args]) == EXIT_IO
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_full_pipeline(self, tiny_config_path, tmp_path, capsys):

@@ -246,10 +246,20 @@ class TestTrajectoryGeneration:
             b = RandomStream.derive(case, "surface")
             expected = per_face_box_surface(a, size, n)
             assert np.array_equal(_sample_box_surface(b.uniform(3 * n), size), expected)
+        # a (frames, 3n) block, as the generator draws it: row t is frame t
+        a = RandomStream.derive(99, "surface")
+        block = RandomStream.derive(99, "surface").uniform(5 * 3 * 23).reshape(5, 3 * 23)
+        for row in _sample_box_surface(block, size):
+            assert np.array_equal(row, per_face_box_surface(a, size, 23))
 
-    @pytest.mark.parametrize("n_distractors", [0, 3])
-    def test_frames_match_per_face_reference_bitwise(self, n_distractors):
-        cfg = SceneConfig(length=6, n_distractors=n_distractors)
+    @pytest.mark.parametrize("scene", [
+        pytest.param({"n_distractors": 0}, id="0"),
+        pytest.param({"n_distractors": 3}, id="3"),
+        pytest.param({"n_points": 97}, id="odd_n_points"),  # each frame's noise is truncated
+        pytest.param({"length": 2}, id="one_action"),
+    ])
+    def test_frames_match_per_face_reference_bitwise(self, scene):
+        cfg = SceneConfig(**{"length": 6, **scene})
         for seed in range(4):
             traj = generate_trajectory(cfg, trajectory_seed(seed, 0))
             expected = reference_frames(cfg, traj)
@@ -461,3 +471,10 @@ class TestDatasetRoundTrip:
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(DataError):
             write_dataset([], tmp_path / "e.afro", config=SceneConfig(), seed=0)
+
+    def test_empty_read_rejected(self, tmp_path):
+        path = tmp_path / "e.afro"
+        meta = b'{"descriptors": []}'
+        path.write_bytes(b"AFRO" + struct.pack("<II", 2, len(meta)) + meta)
+        with pytest.raises(DatasetFormatError, match="no trajectories"):
+            read_dataset(path)

@@ -429,6 +429,26 @@ class TestRandomStream:
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), 1, 2, 7, 12, (3, 3, 3), (4, 3, 5)])
+    def test_normal_is_box_muller_over_uniforms(self, shape, dtype):
+        # Uniform i < m sets a radius sqrt(-2 log(1 - u)), uniform m + i its
+        # angle; the m cosines come first, then the m sines, and an odd size
+        # drops the last sine.
+        stream = RandomStream.derive(9, "box-muller")
+        stream.raw(3)
+        replay = RandomStream(*stream.state())
+        size = int(np.prod(shape))
+        m = (size + 1) // 2
+        u = replay.uniform(2 * m)
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:m]))
+        angle = 2.0 * np.pi * u[m:]
+        expected = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:size]
+        z = stream.normal(shape, dtype)
+        assert z.dtype == dtype
+        assert np.array_equal(z, expected.reshape(shape).astype(dtype))
+        assert stream.state() == replay.state()
+
     def test_integers_in_range(self):
         v = RandomStream.derive(11, "i").integers(1, 101, 10_000)
         assert v.min() >= 1 and v.max() <= 100
